@@ -85,11 +85,6 @@ pub struct SetAssocCache {
     /// L1s never read it, so the simulator turns it off for them to spare
     /// a random 8-byte store per access on the hot path.
     pub(crate) track_retention: bool,
-    /// Optional batch-kernel instrumentation: per multi-module batch,
-    /// records the shard-size imbalance (`100 * max / mean` percent over
-    /// modules with work) into the shared histogram. `None` (the
-    /// default) costs one branch per batch.
-    pub(crate) shard_metrics: Option<std::sync::Arc<esteem_stats::Histogram>>,
 }
 
 /// One set's way-state bitmasks (bit `w` = physical way `w`).
@@ -159,15 +154,7 @@ impl SetAssocCache {
             valid_per_bank: vec![0; geom.banks as usize],
             active_slots: geom.total_slots(),
             track_retention: true,
-            shard_metrics: None,
         }
-    }
-
-    /// Attaches the shard-imbalance histogram the multi-module batch
-    /// kernel records into (see the field doc). A read-only tap: it
-    /// never changes access outcomes or stats.
-    pub fn set_shard_metrics(&mut self, h: std::sync::Arc<esteem_stats::Histogram>) {
-        self.shard_metrics = Some(h);
     }
 
     /// Enables or disables per-access `last_update` maintenance. Disable
@@ -326,27 +313,6 @@ impl SetAssocCache {
             leader,
             evicted_valid,
             writeback,
-        }
-    }
-
-    /// Applies the lifetime-stats deltas of one already-performed access
-    /// whose state effects were produced by the batch kernel (which defers
-    /// stats; see [`crate::BatchOutcome`]). Incrementing per consumed
-    /// access keeps the counters exact even when the caller stops
-    /// mid-batch (the simulator's instruction-target break).
-    #[inline]
-    pub fn apply_access_stats(&mut self, o: &AccessOutcome, write: bool) {
-        if write {
-            self.stats.writes += 1;
-        }
-        if o.hit {
-            self.stats.hits += 1;
-            self.stats.pos_hits[o.hit_pos as usize] += 1;
-        } else {
-            self.stats.misses += 1;
-            if o.writeback.is_some() {
-                self.stats.writebacks += 1;
-            }
         }
     }
 

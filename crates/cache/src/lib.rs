@@ -88,7 +88,7 @@ pub mod lru;
 pub mod stats;
 
 pub use atd::AtdCounters;
-pub use batch::{encode_l1_access, Access, BatchOutcome, L1Rec};
+pub use batch::{encode_l1_access, L1Rec};
 pub use cache::{AccessOutcome, ReconfigOutcome, SetAssocCache};
 pub use config::CacheGeometry;
 pub use line::Line;

@@ -9,8 +9,10 @@
 //! operation streams from `--seed`, runs each through the optimized stack
 //! and the oracle in lockstep, and for every divergence writes a minimized
 //! reproducer JSON into `--out` (default `results/repros/`). Each case
-//! also fuzzes Algorithm 1 against its reference transcription. Exit code
-//! is nonzero iff any divergence was found.
+//! also fuzzes Algorithm 1 against its reference transcription. The run
+//! ends with a line `L1 replica: N of M cases` counting the cases that
+//! were also replayed through the L1 batch kernel. Exit code is nonzero
+//! iff any divergence was found.
 //!
 //! Replay mode: `--replay FILE` re-runs one saved reproducer and reports
 //! whether it still diverges (exit 1) or has been fixed (exit 0).
@@ -19,7 +21,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use esteem_check::fuzz::{case_rng, gen_algo1_case, gen_case};
-use esteem_check::lockstep::{install_quiet_panic_hook, run_case};
+use esteem_check::lockstep::{install_quiet_panic_hook, run_case, runs_l1_replica};
 use esteem_check::minimize::minimize;
 use esteem_check::{oracle_algorithm1, repro};
 use esteem_core::esteem::algorithm1;
@@ -88,8 +90,12 @@ fn main() -> ExitCode {
 
     install_quiet_panic_hook();
     let mut divergences = 0usize;
+    let mut ran = 0u64;
+    let mut l1_cases = 0u64;
     for i in 0..args.cases {
         let case = gen_case(&mut case_rng(args.seed, i));
+        ran += 1;
+        l1_cases += u64::from(runs_l1_replica(&case));
         if let Some(raw) = run_case(&case) {
             divergences += 1;
             eprintln!("case {i} (seed {}): {raw}", args.seed);
@@ -144,6 +150,7 @@ fn main() -> ExitCode {
         }
     }
 
+    println!("L1 replica: {l1_cases} of {ran} cases");
     if divergences == 0 {
         println!(
             "esteem-check: {} cases (seed {}), zero divergences",

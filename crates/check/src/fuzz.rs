@@ -38,33 +38,56 @@ pub fn case_rng(seed: u64, index: u64) -> SmallRng {
     SmallRng::seed_from_u64(seed ^ index.wrapping_mul(0x9e37_79b9_7f4a_7c15))
 }
 
+/// Percentage of generated cases that take the simulator's L1 shape, so
+/// the lockstep run also replays them through the L1 batch kernel.
+const L1_CASE_PERCENT: u32 = 25;
+
 /// Generates one random case. Geometry honours the `CacheGeometry`
 /// invariants (power-of-two sets, modules and banks dividing sets);
 /// everything else — associativity (including non-power-of-two and
 /// wide-LRU counts), leader strides (power-of-two and not, larger than
 /// the set count, or absent), phase counts, retention periods — is drawn
 /// broadly to reach representation corners.
+///
+/// `L1_CASE_PERCENT` of the cases are L1-shaped instead: one module,
+/// one bank, no leader sets, at most 16 ways, a periodic policy (its
+/// `advance` leaves cache state untouched and keeps retention tracking
+/// off) and no reconfigurations.
 pub fn gen_case(rng: &mut SmallRng) -> Case {
+    let l1 = rng.gen_range(0u32..100) < L1_CASE_PERCENT;
     let sets: u32 = 1 << rng.gen_range(3u32..=7);
-    let ways: u8 = *pick(rng, &[1, 2, 3, 4, 4, 5, 7, 8, 8, 12, 16, 17, 20]);
-    let modules: u16 = std::cmp::min(1 << rng.gen_range(0u16..=3), sets as u16);
-    let banks: u8 = *pick(rng, &[1, 2, 4]);
-    let leader_stride = if rng.gen_bool(0.25) {
-        None
-    } else {
-        Some(*pick(rng, &[1u32, 2, 3, 4, 5, 7, 8, 16, 64, 257]))
-    };
-    let policy = *pick(
+    // The first 11 entries fit the L1 kernel's packed recency words.
+    let ways_choices = [1, 2, 3, 4, 4, 5, 7, 8, 8, 12, 16, 17, 20];
+    let ways: u8 = *pick(
         rng,
-        &[
-            CheckPolicy::PeriodicAll,
-            CheckPolicy::PeriodicValid,
-            CheckPolicy::PolyphaseValid,
-            CheckPolicy::PolyphaseValid,
-            CheckPolicy::PolyphaseDirty,
-            CheckPolicy::PolyphaseDirty,
-        ],
+        if l1 {
+            &ways_choices[..11]
+        } else {
+            &ways_choices
+        },
     );
+    let (modules, banks, leader_stride) = if l1 {
+        (1, 1, None)
+    } else {
+        let modules: u16 = std::cmp::min(1 << rng.gen_range(0u16..=3), sets as u16);
+        let banks: u8 = *pick(rng, &[1, 2, 4]);
+        let leader_stride = if rng.gen_bool(0.25) {
+            None
+        } else {
+            Some(*pick(rng, &[1u32, 2, 3, 4, 5, 7, 8, 16, 64, 257]))
+        };
+        (modules, banks, leader_stride)
+    };
+    // The first two leave cache state untouched on `advance`.
+    let policies = [
+        CheckPolicy::PeriodicAll,
+        CheckPolicy::PeriodicValid,
+        CheckPolicy::PolyphaseValid,
+        CheckPolicy::PolyphaseValid,
+        CheckPolicy::PolyphaseDirty,
+        CheckPolicy::PolyphaseDirty,
+    ];
+    let policy = *pick(rng, if l1 { &policies[..2] } else { &policies });
     let phases: u8 = if policy.is_polyphase() {
         rng.gen_range(1u8..=6)
     } else {
@@ -96,7 +119,7 @@ pub fn gen_case(rng: &mut SmallRng) -> Case {
                 write: rng.gen_bool(0.3),
                 dcycles: gen_dcycles(rng, phase_len, retention),
             });
-        } else if roll < 85 {
+        } else if roll < 85 || l1 {
             ops.push(Op::Advance {
                 dcycles: gen_dcycles(rng, phase_len, retention),
             });
@@ -173,6 +196,39 @@ mod tests {
         assert_eq!(a, b);
         let c = gen_case(&mut case_rng(7, 4));
         assert_ne!(a, c, "different case index must vary the stream");
+    }
+
+    /// Seed 0's first 1000 cases hold L1-shaped ones at the chosen share,
+    /// and each of them qualifies for the L1 batch kernel.
+    #[test]
+    fn l1_shaped_cases_at_chosen_share() {
+        let n = 1000;
+        let mut l1 = 0;
+        for i in 0..n {
+            let case = gen_case(&mut case_rng(0, i));
+            let c = &case.config;
+            let shaped = c.modules == 1
+                && c.banks == 1
+                && c.leader_stride.is_none()
+                && c.ways <= 16
+                && !c.policy.is_polyphase()
+                && !case.ops.iter().any(|op| matches!(op, Op::Reconfig { .. }));
+            if shaped {
+                l1 += 1;
+                assert!(
+                    crate::lockstep::optimized_cache(c).supports_l1_batch(),
+                    "case {i} is L1-shaped but misses the L1 kernel: {c:?}"
+                );
+                assert!(crate::lockstep::runs_l1_replica(&case));
+            }
+        }
+        // A binomial draw over 1000 cases, plus the rare non-L1 draw that
+        // lands on the L1 shape by chance.
+        let want = n * u64::from(L1_CASE_PERCENT) / 100;
+        assert!(
+            (want - 40..=want + 60).contains(&l1),
+            "{l1} of {n} cases L1-shaped, want about {want}"
+        );
     }
 
     #[test]

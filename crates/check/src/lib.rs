@@ -16,7 +16,10 @@
 //! * per-advance: refresh and invalidation counts, drained per-bank
 //!   refresh windows, full line-state equality (valid/dirty/tag/retention
 //!   clock), way masks, ATD counters, and the eq. 2–8 energy identities
-//!   evaluated over both sides' counters.
+//!   evaluated over both sides' counters;
+//! * on L1-shaped cases ([`lockstep::runs_l1_replica`]): the same access
+//!   stream replayed through the simulator's L1 batch kernel, record by
+//!   record and counter by counter.
 //!
 //! Any mismatch — or a panic out of the optimized stack, which the
 //! `strict-invariants` feature makes far more likely by promoting internal

@@ -14,27 +14,25 @@
 //! `strict-invariants` assert) is caught and reported as a divergence at
 //! the op that raised it, so it minimizes like any mismatch.
 //!
-//! Besides the scalar path, every op stream is also replayed through the
-//! struct-of-arrays batch kernel — once serially via
-//! [`SetAssocCache::access_batch`] and once over three worker threads via
-//! [`SetAssocCache::access_batch_threaded`] — on independent cache+engine
-//! replicas (`BatchReplica`). Accesses accumulate between comparison
-//! points and flush as one block (the way the simulator's front end feeds
-//! the kernel), per-access outcomes are compared element-wise against the
-//! scalar path's, and at every advance the replicas' counters, occupancy
-//! and refresh windows must match too. A batch-kernel bug therefore
-//! minimizes to a repro exactly like an oracle mismatch.
+//! Cases whose cache has the L1 shape ([`runs_l1_replica`]) are also
+//! replayed through the kernel behind every L1 in the simulator,
+//! [`SetAssocCache::access_batch_l1`], on an independent plain cache
+//! (`L1Replica`). Accesses accumulate between comparison points and flush
+//! as one block (the way the simulator's front end refills), each
+//! [`L1Rec`] is compared against the scalar path's outcome, and at every
+//! advance the replica's counters and occupancy must match too; a final
+//! sweep compares every line. An L1-kernel bug therefore minimizes to a
+//! repro exactly like an oracle mismatch.
 
 use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use esteem_cache::batch::{Access, BatchOutcome};
-use esteem_cache::{AccessOutcome, CacheGeometry, SetAssocCache};
+use esteem_cache::{encode_l1_access, AccessOutcome, CacheGeometry, L1Rec, SetAssocCache};
 use esteem_edram::{RefreshEngine, RefreshPolicy, RetentionSpec};
 use esteem_energy::{EnergyBreakdown, EnergyInputs, EnergyParams};
 
 use crate::fuzz::{Case, Op};
-use crate::oracle::{CheckPolicy, OracleModel};
+use crate::oracle::{CaseConfig, CheckPolicy, OracleModel};
 use crate::Divergence;
 
 thread_local! {
@@ -117,252 +115,14 @@ struct Harness {
     /// Accumulated reconfiguration write-backs per side (part of `A_MM`).
     opt_reconf_wb: u64,
     ora_reconf_wb: u64,
-    /// Scalar-path outcomes (already oracle-checked) since the last batch
-    /// flush, with the op index each came from — the reference the batch
-    /// replicas are compared against, element-wise and in input order.
-    pending_expected: Vec<AccessOutcome>,
-    pending_at: Vec<usize>,
-    /// The batch-kernel replicas: serial, and three worker threads.
-    replicas: [BatchReplica; 2],
-    /// Scalar engine's drained per-bank window from the latest advance,
-    /// stashed by `compare_full` for the replica comparison.
-    last_banks: Vec<u64>,
+    /// The L1-kernel replica, present iff [`runs_l1_replica`].
+    l1: Option<L1Replica>,
 }
 
-/// An independent cache + refresh-engine pair fed exclusively through the
-/// batch kernel. Accesses buffer in `pending` and flush as one block at
-/// every comparison point, mirroring how the simulator's front end hands
-/// whole refill blocks to [`SetAssocCache::access_batch`].
-struct BatchReplica {
-    /// Divergence field prefix (`batch` / `batch3`).
-    tag: &'static str,
-    threads: usize,
-    cache: SetAssocCache,
-    engine: RefreshEngine,
-    pending: Vec<Access>,
-    out: BatchOutcome,
-    feed: Vec<(AccessOutcome, u64)>,
-    /// Lifetime stats accumulated from the per-flush `BatchOutcome`
-    /// deltas (the kernel defers stats rather than writing
-    /// `cache.stats`), compared against the scalar side's lifetime
-    /// counters at every advance.
-    hits: u64,
-    misses: u64,
-    writes: u64,
-    writebacks: u64,
-    pos_hits: Vec<u64>,
-}
-
-impl BatchReplica {
-    fn new(
-        tag: &'static str,
-        threads: usize,
-        geom: CacheGeometry,
-        leader_stride: Option<u32>,
-        policy: RefreshPolicy,
-        retention: u64,
-    ) -> Self {
-        let mut cache = SetAssocCache::new(geom, leader_stride);
-        cache.set_retention_tracking(policy.is_polyphase());
-        let engine = RefreshEngine::new(
-            policy,
-            RetentionSpec {
-                period_cycles: retention,
-            },
-            &cache,
-        );
-        Self {
-            tag,
-            threads,
-            cache,
-            engine,
-            pending: Vec::new(),
-            out: BatchOutcome::new(),
-            feed: Vec::new(),
-            hits: 0,
-            misses: 0,
-            writes: 0,
-            writebacks: 0,
-            pos_hits: vec![0; geom.ways as usize],
-        }
-    }
-
-    /// Runs the buffered accesses through the batch kernel and compares
-    /// each outcome against the scalar path's, then forwards the block to
-    /// the refresh engine exactly like the simulator's feed drain.
-    fn flush(&mut self, expected: &[AccessOutcome], ats: &[usize]) -> Option<Divergence> {
-        debug_assert_eq!(self.pending.len(), expected.len());
-        if self.pending.is_empty() {
-            return None;
-        }
-        self.out.clear();
-        self.cache
-            .access_batch_threaded(&self.pending, self.threads, &mut self.out);
-        self.feed.clear();
-        for (i, (acc, got)) in self
-            .pending
-            .iter()
-            .zip(self.out.outcomes.iter())
-            .enumerate()
-        {
-            diff!(ats[i], format!("{}.outcome", self.tag), expected[i], *got);
-            self.feed.push((*got, acc.now));
-        }
-        self.engine.on_access_batch(&self.feed);
-        self.hits += self.out.hits;
-        self.misses += self.out.misses;
-        self.writes += self.out.writes;
-        self.writebacks += self.out.writebacks;
-        for (dst, &d) in self.pos_hits.iter_mut().zip(self.out.pos_hits.iter()) {
-            *dst += d;
-        }
-        self.pending.clear();
-        None
-    }
-
-    /// Applies a reconfiguration and checks it matched the scalar side's.
-    fn reconfig(
-        &mut self,
-        at: usize,
-        module: u16,
-        ways: u8,
-        now: u64,
-        expected: esteem_cache::ReconfigOutcome,
-    ) -> Option<Divergence> {
-        let got = self.cache.set_module_active_ways(module, ways, now);
-        diff!(at, format!("{}.reconfig", self.tag), expected, got);
-        None
-    }
-
-    /// Advances refresh and compares every replica observable against the
-    /// scalar side: refresh work done, lifetime counters, occupancy, and
-    /// the drained per-bank windows.
-    fn advance(
-        &mut self,
-        at: usize,
-        now: u64,
-        scalar: &SetAssocCache,
-        scalar_engine_banks: &[u64],
-        expected_refreshes: u64,
-        expected_invalidations: u64,
-    ) -> Option<Divergence> {
-        let rep = self.engine.advance(&mut self.cache, now);
-        diff!(
-            at,
-            format!("{}.advance.refreshes", self.tag),
-            expected_refreshes,
-            rep.refreshes
-        );
-        diff!(
-            at,
-            format!("{}.advance.invalidations", self.tag),
-            expected_invalidations,
-            rep.invalidations
-        );
-        diff!(
-            at,
-            format!("{}.hits", self.tag),
-            scalar.stats.hits,
-            self.hits
-        );
-        diff!(
-            at,
-            format!("{}.misses", self.tag),
-            scalar.stats.misses,
-            self.misses
-        );
-        diff!(
-            at,
-            format!("{}.writes", self.tag),
-            scalar.stats.writes,
-            self.writes
-        );
-        diff!(
-            at,
-            format!("{}.writebacks", self.tag),
-            scalar.stats.writebacks,
-            self.writebacks
-        );
-        diff!(
-            at,
-            format!("{}.pos_hits", self.tag),
-            scalar.stats.pos_hits,
-            self.pos_hits
-        );
-        diff!(
-            at,
-            format!("{}.valid_lines", self.tag),
-            scalar.valid_lines(),
-            self.cache.valid_lines()
-        );
-        diff!(
-            at,
-            format!("{}.valid_per_bank", self.tag),
-            scalar.valid_lines_per_bank(),
-            self.cache.valid_lines_per_bank()
-        );
-        diff!(
-            at,
-            format!("{}.module_ways", self.tag),
-            scalar.module_ways(),
-            self.cache.module_ways()
-        );
-        let banks = self.engine.drain_bank_refreshes();
-        diff!(
-            at,
-            format!("{}.bank_window", self.tag),
-            scalar_engine_banks,
-            banks
-        );
-        None
-    }
-
-    /// Final whole-state sweep against the scalar cache (run once, after
-    /// the closing flush): any silent state skew the outcome comparison
-    /// missed surfaces here at the latest.
-    fn compare_lines(&self, at: usize, scalar: &SetAssocCache, track: bool) -> Option<Divergence> {
-        let g = scalar.geometry();
-        for set in 0..g.sets {
-            for way in 0..g.ways {
-                let want = scalar.line(set, way);
-                let got = self.cache.line(set, way);
-                diff!(
-                    at,
-                    format!("{}.line[{set}][{way}].valid", self.tag),
-                    want.valid,
-                    got.valid
-                );
-                if want.valid {
-                    diff!(
-                        at,
-                        format!("{}.line[{set}][{way}].dirty", self.tag),
-                        want.dirty,
-                        got.dirty
-                    );
-                    diff!(
-                        at,
-                        format!("{}.line[{set}][{way}].tag", self.tag),
-                        want.tag,
-                        got.tag
-                    );
-                    if track {
-                        diff!(
-                            at,
-                            format!("{}.line[{set}][{way}].last_update", self.tag),
-                            want.last_update,
-                            got.last_update
-                        );
-                    }
-                }
-            }
-        }
-        self.cache.assert_invariants();
-        None
-    }
-}
-
-fn run_case_inner(case: &Case, op_index: &RefCell<usize>) -> Option<Divergence> {
-    let cfg = &case.config;
+/// Builds the optimized cache for `cfg` the way the simulator would:
+/// per-access retention clocks are maintained only for policies that read
+/// them.
+pub(crate) fn optimized_cache(cfg: &CaseConfig) -> SetAssocCache {
     let geom = CacheGeometry {
         sets: cfg.sets,
         ways: cfg.ways,
@@ -373,12 +133,166 @@ fn run_case_inner(case: &Case, op_index: &RefCell<usize>) -> Option<Divergence> 
     };
     geom.validate();
     let mut cache = SetAssocCache::new(geom, cfg.leader_stride);
-    let policy = to_refresh_policy(cfg.policy, cfg.phases);
-    // Mirror the simulator: per-access retention clocks are maintained
-    // only for policies that read them.
-    cache.set_retention_tracking(policy.is_polyphase());
+    cache.set_retention_tracking(cfg.policy.is_polyphase());
+    cache
+}
+
+/// Whether [`run_case`] also replays `case` through the L1 replica: its
+/// cache qualifies for [`SetAssocCache::access_batch_l1`] and the case
+/// never reconfigures it (the simulator's L1s keep all ways on, and a
+/// shrunk cache no longer qualifies).
+pub fn runs_l1_replica(case: &Case) -> bool {
+    !case.ops.iter().any(|op| matches!(op, Op::Reconfig { .. }))
+        && optimized_cache(&case.config).supports_l1_batch()
+}
+
+/// Divergence field prefix of the L1 replica.
+const L1_TAG: &str = "l1";
+
+/// An independent plain cache fed exclusively through
+/// [`SetAssocCache::access_batch_l1`]. It has no refresh engine because
+/// the simulator's L1s have none; the cases it runs on use periodic
+/// policies, whose `advance` leaves cache state untouched, so it tracks
+/// the scalar cache exactly.
+struct L1Replica {
+    cache: SetAssocCache,
+    /// Encoded accesses since the last flush, the scalar outcome each must
+    /// reproduce, and the op index it came from.
+    pending: Vec<u64>,
+    expected: Vec<AccessOutcome>,
+    at: Vec<usize>,
+    recs: Vec<L1Rec>,
+    writebacks: Vec<u64>,
+}
+
+impl L1Replica {
+    fn new(geom: CacheGeometry) -> Self {
+        let mut cache = SetAssocCache::new(geom, None);
+        cache.set_retention_tracking(false);
+        Self {
+            cache,
+            pending: Vec::new(),
+            expected: Vec::new(),
+            at: Vec::new(),
+            recs: Vec::new(),
+            writebacks: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, at: usize, block: u64, write: bool, expected: AccessOutcome) {
+        self.pending.push(encode_l1_access(block, write));
+        self.expected.push(expected);
+        self.at.push(at);
+    }
+
+    /// Runs the buffered accesses through the L1 kernel, compares each
+    /// record against the scalar path's outcome, and folds its stats.
+    fn flush(&mut self) -> Option<Divergence> {
+        self.recs.clear();
+        self.writebacks.clear();
+        self.cache
+            .access_batch_l1(&self.pending, &mut self.recs, &mut self.writebacks);
+        let mut writebacks = self.writebacks.iter().copied();
+        for (i, &rec) in self.recs.iter().enumerate() {
+            let (want, at) = (&self.expected[i], self.at[i]);
+            diff!(at, format!("{L1_TAG}.hit"), want.hit, rec.hit());
+            if want.hit {
+                diff!(at, format!("{L1_TAG}.hit_pos"), want.hit_pos, rec.hit_pos());
+            }
+            diff!(
+                at,
+                format!("{L1_TAG}.has_writeback"),
+                want.writeback.is_some(),
+                rec.has_writeback()
+            );
+            if rec.has_writeback() {
+                diff!(
+                    at,
+                    format!("{L1_TAG}.writeback"),
+                    want.writeback,
+                    writebacks.next()
+                );
+            }
+            self.cache.apply_rec_stats(rec, self.pending[i] & 1 != 0);
+        }
+        if let Some(&at) = self.at.last() {
+            diff!(
+                at,
+                format!("{L1_TAG}.stray_writeback"),
+                None::<u64>,
+                writebacks.next()
+            );
+        }
+        self.pending.clear();
+        self.expected.clear();
+        self.at.clear();
+        None
+    }
+
+    /// Compares the replica's lifetime counters and occupancy against the
+    /// scalar cache's.
+    fn compare_stats(&self, at: usize, scalar: &SetAssocCache) -> Option<Divergence> {
+        let (want, got) = (&scalar.stats, &self.cache.stats);
+        diff!(at, format!("{L1_TAG}.hits"), want.hits, got.hits);
+        diff!(at, format!("{L1_TAG}.misses"), want.misses, got.misses);
+        diff!(at, format!("{L1_TAG}.writes"), want.writes, got.writes);
+        diff!(
+            at,
+            format!("{L1_TAG}.writebacks"),
+            want.writebacks,
+            got.writebacks
+        );
+        diff!(
+            at,
+            format!("{L1_TAG}.pos_hits"),
+            want.pos_hits,
+            got.pos_hits
+        );
+        diff!(
+            at,
+            format!("{L1_TAG}.valid_lines"),
+            scalar.valid_lines(),
+            self.cache.valid_lines()
+        );
+        None
+    }
+
+    /// Final whole-state sweep against the scalar cache (run once, after
+    /// the closing flush): any silent state skew the outcome comparison
+    /// missed surfaces here at the latest.
+    fn compare_lines(&self, at: usize, scalar: &SetAssocCache) -> Option<Divergence> {
+        let g = scalar.geometry();
+        for set in 0..g.sets {
+            for way in 0..g.ways {
+                let want = scalar.line(set, way);
+                let got = self.cache.line(set, way);
+                let field = |f: &str| format!("{L1_TAG}.line[{set}][{way}].{f}");
+                diff!(at, field("valid"), want.valid, got.valid);
+                if want.valid {
+                    diff!(at, field("dirty"), want.dirty, got.dirty);
+                    diff!(at, field("tag"), want.tag, got.tag);
+                }
+            }
+        }
+        self.cache.assert_invariants();
+        None
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Test hook: mutates the scalar cache after the last oracle
+    /// comparison, just before the L1 replica's final line sweep.
+    static BEFORE_L1_SWEEP: std::cell::Cell<Option<fn(&mut SetAssocCache)>> =
+        const { std::cell::Cell::new(None) };
+}
+
+fn run_case_inner(case: &Case, op_index: &RefCell<usize>) -> Option<Divergence> {
+    let cfg = &case.config;
+    let cache = optimized_cache(cfg);
+    let geom = *cache.geometry();
     let engine = RefreshEngine::new(
-        policy,
+        to_refresh_policy(cfg.policy, cfg.phases),
         RetentionSpec {
             period_cycles: cfg.retention,
         },
@@ -394,13 +308,7 @@ fn run_case_inner(case: &Case, op_index: &RefCell<usize>) -> Option<Divergence> 
         ora_transitions: 0,
         opt_reconf_wb: 0,
         ora_reconf_wb: 0,
-        pending_expected: Vec::new(),
-        pending_at: Vec::new(),
-        replicas: [
-            BatchReplica::new("batch", 1, geom, cfg.leader_stride, policy, cfg.retention),
-            BatchReplica::new("batch3", 3, geom, cfg.leader_stride, policy, cfg.retention),
-        ],
-        last_banks: Vec::new(),
+        l1: runs_l1_replica(case).then(|| L1Replica::new(geom)),
     };
 
     for (at, op) in case.ops.iter().enumerate() {
@@ -432,22 +340,13 @@ fn run_case_inner(case: &Case, op_index: &RefCell<usize>) -> Option<Divergence> 
                     );
                     diff!(at, "access.writeback", ora.writeback, opt.writeback);
                 }
-                // Queue for the batch replicas; they flush as one block at
-                // the next reconfig/advance, like the simulator's refill.
-                for r in &mut h.replicas {
-                    r.pending.push(Access {
-                        block,
-                        write,
-                        now: h.now,
-                    });
+                // Queue for the L1 replica; it flushes as one block at the
+                // next advance, like the simulator's refill.
+                if let Some(l1) = &mut h.l1 {
+                    l1.push(at, block, write, opt);
                 }
-                h.pending_expected.push(opt);
-                h.pending_at.push(at);
             }
             Op::Reconfig { module, ways } => {
-                if let Some(d) = flush_replicas(&mut h) {
-                    return Some(d);
-                }
                 let opt = h.cache.set_module_active_ways(module, ways, h.now);
                 let ora = h.oracle.reconfig(module, ways, h.now);
                 h.opt_transitions += opt.slot_transitions;
@@ -468,11 +367,6 @@ fn run_case_inner(case: &Case, op_index: &RefCell<usize>) -> Option<Divergence> 
                     h.oracle.module_ways(),
                     h.cache.module_ways()
                 );
-                for r in &mut h.replicas {
-                    if let Some(d) = r.reconfig(at, module, ways, h.now, opt) {
-                        return Some(d);
-                    }
-                }
             }
             Op::Advance { dcycles } => {
                 h.now += dcycles;
@@ -484,40 +378,25 @@ fn run_case_inner(case: &Case, op_index: &RefCell<usize>) -> Option<Divergence> 
     }
 
     // Final flush: push every pending refresh through, then do one last
-    // full-state comparison — including the whole-cache sweep of each
-    // batch replica against the scalar cache.
+    // full-state comparison — including the whole-cache sweep of the L1
+    // replica against the scalar cache.
     let at = case.ops.len();
     *op_index.borrow_mut() = at;
     h.now += 3 * cfg.retention;
     if let Some(d) = advance_and_compare(&mut h, at) {
         return Some(d);
     }
-    let track = cfg.policy.is_polyphase();
-    for r in &h.replicas {
-        if let Some(d) = r.compare_lines(at, &h.cache, track) {
-            return Some(d);
-        }
+    #[cfg(test)]
+    if let Some(corrupt) = BEFORE_L1_SWEEP.with(std::cell::Cell::take) {
+        corrupt(&mut h.cache);
     }
-    None
-}
-
-/// Flushes both batch replicas against the scalar outcomes accumulated
-/// since the previous flush.
-fn flush_replicas(h: &mut Harness) -> Option<Divergence> {
-    for r in &mut h.replicas {
-        if let Some(d) = r.flush(&h.pending_expected, &h.pending_at) {
-            return Some(d);
-        }
-    }
-    h.pending_expected.clear();
-    h.pending_at.clear();
-    None
+    h.l1.as_ref().and_then(|l1| l1.compare_lines(at, &h.cache))
 }
 
 fn advance_and_compare(h: &mut Harness, at: usize) -> Option<Divergence> {
-    // Batch replicas flush their buffered block before the refresh engine
-    // advances, matching the simulator's drain-feeds-then-advance order.
-    if let Some(d) = flush_replicas(h) {
+    // The L1 replica flushes its buffered block before the refresh engine
+    // advances, matching the simulator's refill-then-advance order.
+    if let Some(d) = h.l1.as_mut().and_then(L1Replica::flush) {
         return Some(d);
     }
     let rep = h.engine.advance(&mut h.cache, h.now);
@@ -527,19 +406,9 @@ fn advance_and_compare(h: &mut Harness, at: usize) -> Option<Divergence> {
     if let Some(d) = compare_full(h, at) {
         return Some(d);
     }
-    // The scalar side checked out against the oracle; now each replica
-    // advances and must match the scalar results exactly.
-    let banks = std::mem::take(&mut h.last_banks);
-    let now = h.now;
-    let Harness {
-        cache, replicas, ..
-    } = h;
-    for r in replicas.iter_mut() {
-        if let Some(d) = r.advance(at, now, cache, &banks, rep.refreshes, rep.invalidations) {
-            return Some(d);
-        }
-    }
-    None
+    // The scalar side checked out against the oracle; now the replica
+    // must match the scalar counters exactly.
+    h.l1.as_ref().and_then(|l1| l1.compare_stats(at, &h.cache))
 }
 
 /// The post-advance whole-state comparison.
@@ -608,8 +477,6 @@ fn compare_full(h: &mut Harness, at: usize) -> Option<Divergence> {
     let ora_banks = h.oracle.drain_bank_refreshes();
     let opt_banks = h.engine.drain_bank_refreshes();
     diff!(at, "refresh.bank_window", ora_banks, opt_banks);
-    // Stash for the batch-replica comparison in `advance_and_compare`.
-    h.last_banks = opt_banks;
 
     // Full line-state sweep.
     let track = cfg.policy.is_polyphase();
@@ -733,6 +600,54 @@ mod tests {
             };
             assert_eq!(run_case(&case), None, "policy {policy:?} diverged");
         }
+    }
+
+    /// An L1-shaped case: one module, one bank, no leaders, a periodic
+    /// policy, and enough same-set traffic for hits, dirty evictions and
+    /// several flushes.
+    fn l1_case() -> Case {
+        let mut ops = Vec::new();
+        for i in 0..40u64 {
+            ops.push(Op::Access {
+                block: (i % 7) * 16 + i % 3,
+                write: i % 4 == 0,
+                dcycles: 7,
+            });
+            if i % 10 == 9 {
+                ops.push(Op::Advance { dcycles: 150 });
+            }
+        }
+        Case {
+            config: CaseConfig {
+                banks: 1,
+                modules: 1,
+                leader_stride: None,
+                ..base_config(CheckPolicy::PeriodicValid)
+            },
+            ops,
+        }
+    }
+
+    #[test]
+    fn l1_case_agrees() {
+        let case = l1_case();
+        assert!(runs_l1_replica(&case));
+        assert_eq!(run_case(&case), None);
+    }
+
+    /// Skewing the scalar cache after the last oracle comparison leaves
+    /// only the L1 replica's final line sweep to notice, and it does.
+    #[test]
+    fn l1_sweep_catches_corrupted_line() {
+        BEFORE_L1_SWEEP.with(|h| {
+            h.set(Some(|cache: &mut SetAssocCache| {
+                // A dirty fill of a block the case never touches.
+                cache.access(1 << 20, true, 0);
+            }))
+        });
+        let d = run_case(&l1_case()).expect("the sweep must see the corrupted line");
+        assert!(d.field.starts_with(L1_TAG), "wrong field: {d}");
+        assert_eq!(d.op_index, l1_case().ops.len());
     }
 
     /// A panic out of the optimized stack is converted into a divergence

@@ -58,8 +58,8 @@ pub struct CoreState {
 /// [`CoreState::next_access`]; when the buffer runs low,
 /// [`FrontEnd::top_up`] generates the next block of bundles and pushes
 /// their memory references through
-/// [`SetAssocCache::access_batch_l1`] — the compact single-module
-/// specialisation of [`SetAssocCache::access_batch`] — in one call.
+/// [`SetAssocCache::access_batch_l1`] — the batched L1-shape form of
+/// [`SetAssocCache::access`] — in one call.
 /// Because the L1 has no retention clock and its lifetime stats are
 /// applied at *consume* time ([`SetAssocCache::apply_rec_stats`]),
 /// running the L1 ahead of the core's clock is unobservable — every

@@ -21,6 +21,7 @@
 //! * submitted-but-unfinished jobs (crash mid-run) are re-queued.
 //! * a torn final line (crash mid-write) is skipped, not fatal.
 
+use std::collections::HashMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
@@ -186,6 +187,9 @@ pub fn recover(path: &Path) -> std::io::Result<Recovery> {
         Err(e) => return Err(e),
     };
     let mut rec = Recovery::default();
+    // Job id -> position in `rec.jobs`, so each outcome line resolves in
+    // O(1) and replay stays linear in journal length.
+    let mut index: HashMap<u64, usize> = HashMap::new();
     for raw in bytes.split(|&b| b == b'\n') {
         if raw.iter().all(u8::is_ascii_whitespace) {
             continue;
@@ -198,14 +202,14 @@ pub fn recover(path: &Path) -> std::io::Result<Recovery> {
             rec.skipped_lines += 1;
             continue;
         };
-        if apply(&mut rec, &v).is_none() {
+        if apply(&mut rec, &mut index, &v).is_none() {
             rec.skipped_lines += 1;
         }
     }
     Ok(rec)
 }
 
-fn apply(rec: &mut Recovery, v: &Value) -> Option<()> {
+fn apply(rec: &mut Recovery, index: &mut HashMap<u64, usize>, v: &Value) -> Option<()> {
     let m = v.as_map()?;
     let event = map_get(m, "event").ok()?.as_str()?;
     // Coalesced submissions never executed separately; nothing to
@@ -227,6 +231,8 @@ fn apply(rec: &mut Recovery, v: &Value) -> Option<()> {
             let spec = JobSpec::from_value(map_get(m, "spec").ok()?).ok()?;
             let fp = map_get(m, "fingerprint").ok()?.as_str()?;
             let fingerprint = u64::from_str_radix(fp, 16).ok()?;
+            // Outcomes resolve to the first submit of an id.
+            index.entry(id).or_insert(rec.jobs.len());
             rec.jobs.push(RecoveredJob {
                 id,
                 spec,
@@ -236,13 +242,11 @@ fn apply(rec: &mut Recovery, v: &Value) -> Option<()> {
         }
         "start" => {}
         "done" => {
-            let job = rec.jobs.iter_mut().find(|j| j.id == id)?;
-            job.outcome = RecoveredOutcome::Done;
+            rec.jobs[*index.get(&id)?].outcome = RecoveredOutcome::Done;
         }
         "fail" => {
             let error = map_get(m, "error").ok()?.as_str()?.to_owned();
-            let job = rec.jobs.iter_mut().find(|j| j.id == id)?;
-            job.outcome = RecoveredOutcome::Failed(error);
+            rec.jobs[*index.get(&id)?].outcome = RecoveredOutcome::Failed(error);
         }
         _ => return None,
     }
@@ -365,6 +369,36 @@ mod tests {
         assert_eq!(rec.jobs[3].outcome, RecoveredOutcome::Unfinished);
         assert_eq!(rec.jobs[3].spec.seed, 5);
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// Replay resolves outcome lines by id in O(1): 100k jobs (a submit
+    /// and a done line each) recover in a few seconds even unoptimized,
+    /// while a per-line scan of the job list (~5e9 id compares here)
+    /// takes tens of seconds even in a release build.
+    #[test]
+    fn recovery_is_linear_in_journal_length() {
+        const JOBS: u64 = 100_000;
+        let path = tmp("linear.jsonl");
+        let spec = serde_json::to_string(&spec(1).to_value()).unwrap();
+        let mut body = String::new();
+        for id in 1..=JOBS {
+            body += &format!(
+                "{{\"event\":\"submit\",\"job\":{id},\"fingerprint\":\"{id:016x}\",\"t\":0,\"spec\":{spec}}}\n\
+                 {{\"event\":\"done\",\"job\":{id},\"t\":0}}\n"
+            );
+        }
+        std::fs::write(&path, body).unwrap();
+        let t0 = std::time::Instant::now();
+        let rec = recover(&path).unwrap();
+        let elapsed = t0.elapsed();
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(rec.jobs.len(), JOBS as usize);
+        assert_eq!(rec.skipped_lines, 0);
+        assert!(rec.jobs.iter().all(|j| j.outcome == RecoveredOutcome::Done));
+        assert!(
+            elapsed < std::time::Duration::from_secs(15),
+            "replaying {JOBS} jobs took {elapsed:?}"
+        );
     }
 
     #[test]

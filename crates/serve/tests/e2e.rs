@@ -495,6 +495,22 @@ fn bad_specs_and_bad_routes_get_clean_errors() {
     daemon.wait();
 }
 
+/// A body nested 100 000 arrays deep fits well under the body cap but
+/// would overflow a recursive parser's stack and abort the process. It
+/// must be refused as a bad request, and the same daemon keeps serving.
+#[test]
+fn deeply_nested_body_is_refused_and_daemon_keeps_serving() {
+    let daemon = spawn(opts()).unwrap();
+    let addr = daemon.addr().to_string();
+    let body = "[".repeat(100_000);
+    let (status, msg) = client::request(&addr, "POST", "/v1/jobs", Some(&body)).unwrap();
+    assert!((400..500).contains(&status), "got {status}: {msg}");
+    let job = client::submit(&addr, &quick(0xDEE9)).unwrap().job;
+    client::fetch(&addr, job, Duration::from_millis(20)).expect("normal job completes");
+    daemon.shutdown();
+    assert!(daemon.wait());
+}
+
 /// Inject a known latency population directly into the daemon's stage
 /// histograms, then read the percentiles back through `/v1/status`. The
 /// histogram's documented bound is 1/64 (~1.6%) relative error.
