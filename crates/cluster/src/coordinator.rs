@@ -21,12 +21,12 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use esteem_serve::http::{Handler, HandlerResult, HttpServer};
+use esteem_serve::journal::{self, Journal};
 use esteem_serve::JobSpec;
 use esteem_stats::{labeled, StatsReading};
 use serde::{map_get, Deserialize, Serialize, Value};
 
 use crate::dispatch::{CJobState, Cluster, DispatchOptions};
-use crate::journal::{self, CoordJournal};
 
 const VERSION: &str = env!("CARGO_PKG_VERSION");
 const METRICS_CONTENT_TYPE: &str = "text/plain; version=0.0.4; charset=utf-8";
@@ -101,8 +101,8 @@ impl Coordinator {
 /// Binds, replays the journal, and starts the monitor + HTTP threads.
 pub fn spawn(opts: CoordinatorOptions) -> std::io::Result<Coordinator> {
     let journal = match &opts.journal_path {
-        Some(p) => CoordJournal::open(p)?,
-        None => CoordJournal::none(),
+        Some(p) => Journal::open(p)?,
+        None => Journal::none(),
     };
     let cluster = Cluster::new(opts.dispatch.clone(), journal);
     if let Some(path) = &opts.journal_path {

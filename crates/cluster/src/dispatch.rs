@@ -23,11 +23,11 @@ use std::time::{Duration, Instant};
 
 use esteem_harness::runcache;
 use esteem_serve::client::{self, RetryPolicy};
+use esteem_serve::journal::{Journal, RecoveredOutcome, Recovery};
 use esteem_serve::JobSpec;
 use esteem_stats::{Scope, StatsSource};
 use serde::{Serialize, Value};
 
-use crate::journal::{CoordJournal, CoordOutcome, CoordRecovery};
 use crate::ring::HashRing;
 
 /// Read timeout for coordinator→worker control calls. Short: a worker
@@ -226,7 +226,7 @@ pub struct Cluster {
     /// Notified on new work, membership changes, completions, shutdown.
     work: Condvar,
     pub counters: ClusterCounters,
-    journal: CoordJournal,
+    journal: Journal,
     opts: DispatchOptions,
     next_job: AtomicU64,
     next_sweep: AtomicU64,
@@ -241,7 +241,7 @@ pub struct SubmitError {
 }
 
 impl Cluster {
-    pub fn new(opts: DispatchOptions, journal: CoordJournal) -> Arc<Self> {
+    pub fn new(opts: DispatchOptions, journal: Journal) -> Arc<Self> {
         Arc::new(Self {
             inner: Mutex::new(Inner {
                 members: HashMap::new(),
@@ -271,8 +271,8 @@ impl Cluster {
     /// restart). Done jobs re-materialize their report bytes from the
     /// process-global run cache; evicted ones re-dispatch (safe:
     /// deterministic).
-    pub fn restore(self: &Arc<Self>, rec: CoordRecovery) {
-        self.next_job.store(rec.max_job_id, Ordering::Relaxed);
+    pub fn restore(self: &Arc<Self>, rec: Recovery) {
+        self.next_job.store(rec.max_id, Ordering::Relaxed);
         self.next_sweep.store(rec.max_sweep_id, Ordering::Relaxed);
         self.counters
             .journal_skipped
@@ -290,14 +290,14 @@ impl Cluster {
         }
         for r in rec.jobs {
             let state = match r.outcome {
-                CoordOutcome::Done => match runcache::lookup(r.fingerprint) {
+                RecoveredOutcome::Done => match runcache::lookup(r.fingerprint) {
                     Some(report) => CJobState::Done(
                         serde_json::to_string_pretty(&report.to_value()).expect("serializes"),
                     ),
                     None => CJobState::Pending,
                 },
-                CoordOutcome::Failed(err) => CJobState::Failed(err),
-                CoordOutcome::Unfinished => CJobState::Pending,
+                RecoveredOutcome::Failed(err) => CJobState::Failed(err),
+                RecoveredOutcome::Unfinished => CJobState::Pending,
             };
             if let (Some(sweep_id), true) = (r.sweep, state.is_terminal()) {
                 if let Some(sweep) = inner.sweeps.get_mut(&sweep_id) {

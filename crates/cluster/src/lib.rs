@@ -6,8 +6,10 @@
 //! ([`ring`]), steals queued work from stragglers using the workers'
 //! per-stage latency histograms as the signal ([`dispatch`]), and
 //! journals every decision so a coordinator restart reconstructs
-//! cluster state ([`journal`]). Per-node worker journals fold into one
-//! recoverable view with [`merge`].
+//! cluster state. The coordinator journal is the daemon's own
+//! [`esteem_serve::journal`], with `sweep` and `dispatch` records on top.
+//! Per-node worker journals fold into one recoverable view with
+//! [`merge`].
 //!
 //! Everything rides on determinism: a cell is a pure function of its
 //! spec, so re-dispatching off a dead or slow worker can change *where*
@@ -16,12 +18,10 @@
 
 pub mod coordinator;
 pub mod dispatch;
-pub mod journal;
 pub mod merge;
 pub mod ring;
 
 pub use coordinator::{spawn, Coordinator, CoordinatorOptions, MAX_SWEEP_CELLS};
 pub use dispatch::{CJobState, Cluster, ClusterCounters, DispatchOptions, MemberSnapshot};
-pub use journal::{recover, CoordJournal, CoordOutcome, CoordRecovery};
 pub use merge::{merge_journals, MergedJob, MergedView};
 pub use ring::HashRing;

@@ -195,15 +195,15 @@ mod tests {
         let _ = std::fs::remove_file(&p2);
         {
             let j = Journal::open(&p1).unwrap();
-            j.submit(1, 0xaa, &spec("gamess"));
+            j.submit(1, None, 0xaa, &spec("gamess"));
             j.done(1);
             // Fingerprint 0xbb dispatched here but the node died.
-            j.submit(2, 0xbb, &spec("mcf"));
+            j.submit(2, None, 0xbb, &spec("mcf"));
         }
         {
             let j = Journal::open(&p2).unwrap();
             // Re-dispatched 0xbb finished on the second node.
-            j.submit(1, 0xbb, &spec("mcf"));
+            j.submit(1, None, 0xbb, &spec("mcf"));
             j.done(1);
         }
         let view = merge_journals(&[("w1".into(), &p1), ("w2".into(), &p2)]).unwrap();
@@ -228,12 +228,12 @@ mod tests {
         let _ = std::fs::remove_file(&p2);
         {
             let j = Journal::open(&p1).unwrap();
-            j.submit(1, 0xcc, &spec("gamess"));
+            j.submit(1, None, 0xcc, &spec("gamess"));
             j.done(1);
         }
         {
             let j = Journal::open(&p2).unwrap();
-            j.submit(1, 0xcc, &spec("gamess"));
+            j.submit(1, None, 0xcc, &spec("gamess"));
             j.fail(1, "boom");
         }
         let view = merge_journals(&[("w1".into(), &p1), ("w2".into(), &p2)]).unwrap();

@@ -124,12 +124,10 @@ impl FrontEnd {
     /// Refills the prefetch buffer to `target` bundles if fewer than
     /// `reserve` remain: drains the consumed prefix, generates fresh
     /// bundles, and runs their memory references through the L1 batch
-    /// kernel in one call. Returns the number of fresh bundles
-    /// generated (0 when the buffer still held its reserve) — the
-    /// refill batch size the instrumentation layer reports.
-    pub fn top_up(&mut self) -> usize {
+    /// kernel in one call.
+    pub fn top_up(&mut self) {
         if self.buffered() >= self.reserve {
-            return 0;
+            return;
         }
         if self.cursor > 0 {
             self.enc.drain(..self.cursor);
@@ -145,7 +143,6 @@ impl FrontEnd {
         self.l1d
             .access_batch_l1(&self.enc[fresh..], &mut self.recs, &mut self.wbs);
         debug_assert_eq!(self.enc.len(), self.recs.len());
-        self.enc.len() - fresh
     }
 }
 
@@ -345,9 +342,9 @@ impl CoreState {
     }
 
     /// Refills the prefetch buffer in place (no-op while it still holds
-    /// the quantum reserve). Returns the number of bundles generated.
-    pub fn top_up_front(&mut self) -> usize {
-        self.front.as_mut().expect("front-end present").top_up()
+    /// the quantum reserve).
+    pub fn top_up_front(&mut self) {
+        self.front.as_mut().expect("front-end present").top_up();
     }
 
     /// Detaches the front end (for a worker-thread refill). The core must

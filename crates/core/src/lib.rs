@@ -37,7 +37,6 @@ pub mod config;
 pub mod controller;
 pub mod core_model;
 pub mod esteem;
-pub mod metrics;
 pub mod report;
 pub mod runner;
 pub mod system;
@@ -47,7 +46,6 @@ pub use controller::{
     CacheController, ControllerAction, IntervalCtx, NullController, StaticWaysController,
 };
 pub use esteem::EsteemController;
-pub use metrics::SimMetrics;
 pub use report::{CoreReport, IntervalRecord, SimReport};
 pub use runner::{run_comparison, Comparison};
 pub use system::Simulator;

@@ -17,7 +17,6 @@ use esteem_workloads::{BenchmarkProfile, Bundle};
 use crate::config::SystemConfig;
 use crate::controller::{self, CacheController, IntervalCtx};
 use crate::core_model::{CoreState, FrontEnd, CYCLE_FP_SHIFT};
-use crate::metrics::SimMetrics;
 use crate::report::{CoreReport, SimReport};
 
 /// Deterministic trace-driven multicore simulator.
@@ -90,9 +89,6 @@ pub struct Simulator {
     registry: StatsRegistry,
     /// Trace tap (disabled by default; see [`Simulator::with_tracer`]).
     tracer: Tracer,
-    /// Wall-clock front-end instrumentation (absent by default; see
-    /// [`Simulator::with_metrics`]). Strictly an observation tap.
-    metrics: Option<Arc<SimMetrics>>,
     observer: Option<Box<dyn IntervalObserver>>,
     /// Observation cadence in cycles (see type docs).
     obs_period: u64,
@@ -164,7 +160,6 @@ impl Simulator {
             front_slots: Vec::new(),
             registry: StatsRegistry::new(),
             tracer: Tracer::off(),
-            metrics: None,
             observer: None,
             obs_period,
             next_obs: obs_period,
@@ -219,24 +214,6 @@ impl Simulator {
         self
     }
 
-    /// Attaches wall-clock front-end instrumentation (builder style):
-    /// per-core refill time, barrier stall, refill batch sizes and
-    /// cross-core imbalance. The caller keeps its own `Arc` to read
-    /// distributions during or after the run. Like tracers and
-    /// observers this is a strictly read-only tap — wall-clock
-    /// measurements never feed back into simulated state, so reports
-    /// are byte-identical with or without it. Without metrics the
-    /// refill path takes no timestamps at all.
-    pub fn with_metrics(mut self, metrics: Arc<SimMetrics>) -> Self {
-        assert_eq!(
-            metrics.cores(),
-            self.cores.len(),
-            "SimMetrics must be sized for this simulator's core count"
-        );
-        self.metrics = Some(metrics);
-        self
-    }
-
     /// The controller driving this run (diagnostics).
     pub fn controller_name(&self) -> &'static str {
         self.controller.name()
@@ -268,12 +245,6 @@ impl Simulator {
                 s.register(&i.to_string(), c);
             }
         });
-        // Wall-clock front-end instrumentation, when attached. Host-time
-        // distributions live beside simulated counters in readings but
-        // never reach reports (reports extract named simulated paths).
-        if let Some(m) = &self.metrics {
-            r.register("block", &**m);
-        }
         r
     }
 
@@ -339,23 +310,8 @@ impl Simulator {
     fn refill_fronts(&mut self) {
         prof_span!(self.tracer, "block.refill");
         let Some(pool) = &self.pool else {
-            match &self.metrics {
-                None => {
-                    for core in &mut self.cores {
-                        core.top_up_front();
-                    }
-                }
-                Some(m) => {
-                    for (i, core) in self.cores.iter_mut().enumerate() {
-                        let t0 = std::time::Instant::now();
-                        let bundles = core.top_up_front();
-                        if bundles > 0 {
-                            let us = t0.elapsed().as_micros().min(u64::MAX as u128) as u64;
-                            m.record_refill(i, us, bundles);
-                        }
-                    }
-                    m.finish_quantum();
-                }
+            for core in &mut self.cores {
+                core.top_up_front();
             }
             return;
         };
@@ -364,19 +320,8 @@ impl Simulator {
             if core.front_needs_top_up() {
                 let mut fe = core.take_front();
                 let slot = Arc::clone(&self.front_slots[i]);
-                let metrics = self.metrics.clone();
                 pool.submit(Box::new(move || {
-                    match metrics {
-                        None => {
-                            fe.top_up();
-                        }
-                        Some(m) => {
-                            let t0 = std::time::Instant::now();
-                            let bundles = fe.top_up();
-                            let us = t0.elapsed().as_micros().min(u64::MAX as u128) as u64;
-                            m.record_refill(i, us, bundles);
-                        }
-                    }
+                    fe.top_up();
                     *slot.lock().expect("front slot poisoned") = Some(fe);
                 }))
                 .expect("refill pool rejected a job");
@@ -385,12 +330,7 @@ impl Simulator {
         }
         if outstanding {
             prof_span!(self.tracer, "block.barrier");
-            let stall_t0 = self.metrics.as_ref().map(|_| std::time::Instant::now());
             pool.wait_idle();
-            if let (Some(m), Some(t0)) = (&self.metrics, stall_t0) {
-                m.record_barrier_stall(t0.elapsed().as_micros().min(u64::MAX as u128) as u64);
-                m.finish_quantum();
-            }
             assert_eq!(pool.panics(), 0, "front-end refill worker panicked");
             for (i, core) in self.cores.iter_mut().enumerate() {
                 if let Some(fe) = self.front_slots[i]
@@ -793,51 +733,6 @@ mod tests {
             "the one-shot shrink happens during warm-up"
         );
         assert_eq!(stat.technique, "static-ways");
-    }
-
-    #[test]
-    fn metrics_tap_records_and_does_not_perturb() {
-        use crate::metrics::SimMetrics;
-        let p1 = benchmark_by_name("gamess").unwrap();
-        let p2 = benchmark_by_name("milc").unwrap();
-        let mut cfg = SystemConfig::paper_dual_core(Technique::Baseline);
-        cfg.sim_instructions = 400_000;
-        cfg.warmup_cycles = 200_000;
-        let profiles = [p1, p2];
-        let plain = Simulator::new(cfg.clone(), &profiles, "mix").run();
-
-        // Inline (single-threaded) refill with metrics attached.
-        let m = std::sync::Arc::new(SimMetrics::new(2));
-        let inst = Simulator::new(cfg.clone(), &profiles, "mix")
-            .with_metrics(std::sync::Arc::clone(&m))
-            .run();
-        assert_eq!(
-            serde_json::to_string(&plain).unwrap(),
-            serde_json::to_string(&inst).unwrap(),
-            "metrics must be a read-only tap"
-        );
-        assert!(m.refill_us(0).count() > 0, "core 0 refills timed");
-        assert!(m.refill_us(1).count() > 0, "core 1 refills timed");
-        assert!(m.refill_bundles().count() > 0);
-        assert!(
-            m.refill_bundles().quantile(0.5) > 0,
-            "refills generate bundles"
-        );
-        assert_eq!(m.barrier_stall_us().count(), 0, "no barrier inline");
-
-        // Threaded refill: barrier stalls recorded, report unchanged.
-        let mt = std::sync::Arc::new(SimMetrics::new(2));
-        let threaded = Simulator::new(cfg, &profiles, "mix")
-            .with_threads(2)
-            .with_metrics(std::sync::Arc::clone(&mt))
-            .run();
-        assert_eq!(
-            serde_json::to_string(&plain).unwrap(),
-            serde_json::to_string(&threaded).unwrap(),
-            "threaded metrics must be a read-only tap"
-        );
-        assert!(mt.barrier_stall_us().count() > 0, "barrier stalls timed");
-        assert!(mt.refill_us(0).count() > 0);
     }
 
     /// A sink wrapper sharing collected samples with the test through an

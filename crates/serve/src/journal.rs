@@ -1,17 +1,25 @@
-//! Crash-safe append-only job journal.
+//! Crash-safe append-only job journal, shared by the `esteem-serve`
+//! daemon and the `esteem-coord` coordinator.
 //!
-//! One JSON object per line, written (and fsync'd via `BufWriter` flush
-//! per record) at every job state transition:
+//! One JSON object per line, written at every job state transition and
+//! flushed to the OS per record. A record therefore survives a crash of
+//! the process, but not a power loss: records are not fsync'd.
 //!
 //! ```text
-//! {"event":"submit","job":3,"fingerprint":"00ab..","t":1754500000,"spec":{..}}
+//! {"event":"submit","job":3,"fingerprint":"00ab..","spec":{..},"t":1754500000}
+//! {"event":"submit","job":4,"sweep":1,"fingerprint":"00cd..","spec":{..},"t":..}
+//! {"event":"sweep","sweep":1,"jobs":[4,5],"t":..}
 //! {"event":"coalesce","into":3,"t":..}
 //! {"event":"start","job":3,"t":..}
+//! {"event":"dispatch","job":4,"node":"w1","t":..}
 //! {"event":"done","job":3,"t":..}
 //! {"event":"fail","job":3,"error":"..","t":..}
 //! ```
 //!
-//! Recovery replays the log on daemon start:
+//! The daemon writes `coalesce` and `start`; the coordinator writes
+//! `sweep`, `dispatch` and submits that carry a `sweep`.
+//!
+//! Recovery replays the log on start:
 //! * `done` jobs come back as done; the report itself is *not* in the
 //!   journal (it can be megabytes) — it is re-materialized from the run
 //!   cache by fingerprint, and if the cache no longer holds it the job
@@ -19,6 +27,8 @@
 //!   reproduces the identical report).
 //! * `fail` jobs come back failed with their recorded error.
 //! * submitted-but-unfinished jobs (crash mid-run) are re-queued.
+//! * if a job id is submitted twice, its outcomes resolve to the first
+//!   submit.
 //! * a torn final line (crash mid-write) is skipped, not fatal.
 
 use std::collections::HashMap;
@@ -86,16 +96,44 @@ impl Journal {
         let _ = w.flush();
     }
 
-    pub fn submit(&self, job: u64, fingerprint: u64, spec: &JobSpec) {
+    /// Flushes and fsyncs everything written so far.
+    fn sync_all(&self) -> std::io::Result<()> {
+        let Some(file) = &self.file else {
+            return Ok(());
+        };
+        let mut w = file.lock().unwrap_or_else(|e| e.into_inner());
+        w.flush()?;
+        w.get_ref().sync_all()
+    }
+
+    /// Records a coordinator sweep and its member jobs, in cell order.
+    pub fn sweep(&self, sweep: u64, jobs: &[u64]) {
         self.record(vec![
+            ("event".into(), Value::Str("sweep".into())),
+            ("sweep".into(), sweep.to_value()),
+            (
+                "jobs".into(),
+                Value::Seq(jobs.iter().map(|j| j.to_value()).collect()),
+            ),
+        ]);
+    }
+
+    /// Records a submitted job; `sweep` is the coordinator sweep it
+    /// belongs to, if any.
+    pub fn submit(&self, job: u64, sweep: Option<u64>, fingerprint: u64, spec: &JobSpec) {
+        let mut fields = vec![
             ("event".into(), Value::Str("submit".into())),
             ("job".into(), job.to_value()),
-            (
-                "fingerprint".into(),
-                Value::Str(format!("{fingerprint:016x}")),
-            ),
-            ("spec".into(), spec.to_value()),
-        ]);
+        ];
+        if let Some(s) = sweep {
+            fields.push(("sweep".into(), s.to_value()));
+        }
+        fields.push((
+            "fingerprint".into(),
+            Value::Str(format!("{fingerprint:016x}")),
+        ));
+        fields.push(("spec".into(), spec.to_value()));
+        self.record(fields);
     }
 
     /// Records that a duplicate submission coalesced onto job `into`.
@@ -112,6 +150,15 @@ impl Journal {
         self.record(vec![
             ("event".into(), Value::Str("start".into())),
             ("job".into(), job.to_value()),
+        ]);
+    }
+
+    /// Records that the coordinator sent `job` to worker `node`.
+    pub fn dispatch(&self, job: u64, node: &str) {
+        self.record(vec![
+            ("event".into(), Value::Str("dispatch".into())),
+            ("job".into(), job.to_value()),
+            ("node".into(), Value::Str(node.into())),
         ]);
     }
 
@@ -157,6 +204,9 @@ pub struct RecoveredJob {
     pub id: u64,
     pub spec: JobSpec,
     pub fingerprint: u64,
+    /// The coordinator sweep the job belongs to (`None` for daemon jobs
+    /// and single coordinator submits).
+    pub sweep: Option<u64>,
     pub outcome: RecoveredOutcome,
 }
 
@@ -164,8 +214,12 @@ pub struct RecoveredJob {
 pub struct Recovery {
     /// In submit order.
     pub jobs: Vec<RecoveredJob>,
+    /// Coordinator sweeps: sweep id -> member job ids, in cell order.
+    pub sweeps: Vec<(u64, Vec<u64>)>,
     /// Highest job id seen (id allocation resumes above it).
     pub max_id: u64,
+    /// Highest sweep id seen.
+    pub max_sweep_id: u64,
     /// Lines that failed to parse (only the torn tail is expected).
     pub skipped_lines: u64,
 }
@@ -224,6 +278,18 @@ fn apply(rec: &mut Recovery, index: &mut HashMap<u64, usize>, v: &Value) -> Opti
         rec.max_id = rec.max_id.max(max);
         return Some(());
     }
+    if event == "sweep" {
+        let id = u64::from_value(map_get(m, "sweep").ok()?).ok()?;
+        let jobs: Vec<u64> = map_get(m, "jobs")
+            .ok()?
+            .as_seq()?
+            .iter()
+            .map(|j| u64::from_value(j).ok())
+            .collect::<Option<_>>()?;
+        rec.max_sweep_id = rec.max_sweep_id.max(id);
+        rec.sweeps.push((id, jobs));
+        return Some(());
+    }
     let id = u64::from_value(map_get(m, "job").ok()?).ok()?;
     rec.max_id = rec.max_id.max(id);
     match event {
@@ -231,16 +297,22 @@ fn apply(rec: &mut Recovery, index: &mut HashMap<u64, usize>, v: &Value) -> Opti
             let spec = JobSpec::from_value(map_get(m, "spec").ok()?).ok()?;
             let fp = map_get(m, "fingerprint").ok()?.as_str()?;
             let fingerprint = u64::from_str_radix(fp, 16).ok()?;
+            let sweep = match map_get(m, "sweep") {
+                Ok(s) => Some(u64::from_value(s).ok()?),
+                Err(_) => None,
+            };
             // Outcomes resolve to the first submit of an id.
             index.entry(id).or_insert(rec.jobs.len());
             rec.jobs.push(RecoveredJob {
                 id,
                 spec,
                 fingerprint,
+                sweep,
                 outcome: RecoveredOutcome::Unfinished,
             });
         }
-        "start" => {}
+        // Progress markers: where a job ran is not recovered state.
+        "start" | "dispatch" => {}
         "done" => {
             rec.jobs[*index.get(&id)?].outcome = RecoveredOutcome::Done;
         }
@@ -272,15 +344,15 @@ pub struct CompactStats {
     pub skipped: u64,
 }
 
-/// Rewrites the journal at `path`, keeping one `submit` record per job
-/// plus the terminal `done`/`fail` record where one exists. Intermediate
-/// `start` records, `coalesce` markers, corrupt lines, and all
-/// superseded history are dropped, so long-lived daemons stop replaying
-/// unbounded history on restart.
+/// Rewrites the journal at `path`, keeping every `sweep` record, one
+/// `submit` record per job, and the terminal `done`/`fail` record where
+/// one exists. Intermediate `start` and `dispatch` records, `coalesce`
+/// markers, corrupt lines, and all superseded history are dropped, so
+/// long-lived daemons stop replaying unbounded history on restart.
 ///
-/// The rewrite goes to a temp file in the same directory and lands with
-/// an atomic rename, so a crash mid-compaction leaves the original
-/// journal untouched.
+/// The rewrite goes to a temp file in the same directory, is fsync'd,
+/// and lands with an atomic rename, so a crash mid-compaction leaves the
+/// original journal untouched.
 pub fn compact(path: &Path) -> std::io::Result<CompactStats> {
     let rec = recover(path)?;
     let lines_before = match std::fs::read(path) {
@@ -295,9 +367,12 @@ pub fn compact(path: &Path) -> std::io::Result<CompactStats> {
     let _ = std::fs::remove_file(&tmp);
     let out = Journal::open(&tmp)?;
     out.compact_marker(rec.max_id);
+    for (id, jobs) in &rec.sweeps {
+        out.sweep(*id, jobs);
+    }
     let mut terminal = 0usize;
     for job in &rec.jobs {
-        out.submit(job.id, job.fingerprint, &job.spec);
+        out.submit(job.id, job.sweep, job.fingerprint, &job.spec);
         match &job.outcome {
             RecoveredOutcome::Done => {
                 out.done(job.id);
@@ -310,6 +385,7 @@ pub fn compact(path: &Path) -> std::io::Result<CompactStats> {
             RecoveredOutcome::Unfinished => {}
         }
     }
+    out.sync_all()?;
     drop(out);
     std::fs::rename(&tmp, path)?;
     Ok(CompactStats {
@@ -317,7 +393,7 @@ pub fn compact(path: &Path) -> std::io::Result<CompactStats> {
         terminal,
         unfinished: rec.jobs.len() - terminal,
         lines_before,
-        lines_after: 1 + rec.jobs.len() as u64 + terminal as u64,
+        lines_after: 1 + (rec.sweeps.len() + rec.jobs.len() + terminal) as u64,
         skipped: rec.skipped_lines,
     })
 }
@@ -343,24 +419,34 @@ mod tests {
         let path = tmp("roundtrip.jsonl");
         let _ = std::fs::remove_file(&path);
         let j = Journal::open(&path).unwrap();
-        j.submit(1, 0xabc, &spec(1));
+        j.submit(1, None, 0xabc, &spec(1));
         j.start(1);
         j.done(1);
-        j.submit(2, 0xdef, &spec(2));
+        j.submit(2, None, 0xdef, &spec(2));
         j.start(2);
         j.fail(2, "panicked: boom");
-        j.submit(3, 0x123, &spec(3));
+        j.submit(3, None, 0x123, &spec(3));
         j.coalesce(3);
-        j.submit(5, 0x456, &spec(5));
+        j.submit(5, None, 0x456, &spec(5));
         j.start(5);
-        // Daemon "crashes" here: job 3 queued, job 5 running.
+        // A coordinator sweep of jobs 6 and 7, dispatched to workers.
+        j.submit(6, Some(1), 0x6, &spec(6));
+        j.submit(7, Some(1), 0x7, &spec(7));
+        j.sweep(1, &[6, 7]);
+        j.dispatch(6, "w1");
+        j.dispatch(7, "w2");
+        j.done(6);
+        // Crash here: job 3 queued, job 5 running, job 7 dispatched.
         drop(j);
         let rec = recover(&path).unwrap();
-        assert_eq!(rec.max_id, 5);
+        assert_eq!(rec.max_id, 7);
+        assert_eq!(rec.max_sweep_id, 1);
+        assert_eq!(rec.sweeps, vec![(1, vec![6, 7])]);
         assert_eq!(rec.skipped_lines, 0);
-        assert_eq!(rec.jobs.len(), 4);
+        assert_eq!(rec.jobs.len(), 6);
         assert_eq!(rec.jobs[0].outcome, RecoveredOutcome::Done);
         assert_eq!(rec.jobs[0].fingerprint, 0xabc);
+        assert_eq!(rec.jobs[0].sweep, None);
         assert_eq!(
             rec.jobs[1].outcome,
             RecoveredOutcome::Failed("panicked: boom".into())
@@ -368,7 +454,67 @@ mod tests {
         assert_eq!(rec.jobs[2].outcome, RecoveredOutcome::Unfinished);
         assert_eq!(rec.jobs[3].outcome, RecoveredOutcome::Unfinished);
         assert_eq!(rec.jobs[3].spec.seed, 5);
+        assert_eq!(rec.jobs[4].outcome, RecoveredOutcome::Done);
+        assert_eq!(rec.jobs[4].sweep, Some(1));
+        assert_eq!(rec.jobs[5].outcome, RecoveredOutcome::Unfinished);
+        assert_eq!(rec.jobs[5].sweep, Some(1));
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// A coordinator journal in the exact format existing journals use
+    /// (keys in writer order, `t` last) replays in full, and the writer
+    /// still produces those bytes up to the `t` value.
+    #[test]
+    fn coordinator_journal_format_is_stable() {
+        let path = tmp("coord-format.jsonl");
+        let s1 = serde_json::to_string(&spec(1).to_value()).unwrap();
+        let s2 = serde_json::to_string(&spec(2).to_value()).unwrap();
+        let s3 = serde_json::to_string(&spec(3).to_value()).unwrap();
+        let body = format!(
+            "{{\"event\":\"submit\",\"job\":1,\"sweep\":1,\"fingerprint\":\"000000000000000a\",\"spec\":{s1},\"t\":0}}\n\
+             {{\"event\":\"submit\",\"job\":2,\"sweep\":1,\"fingerprint\":\"000000000000000b\",\"spec\":{s2},\"t\":0}}\n\
+             {{\"event\":\"sweep\",\"sweep\":1,\"jobs\":[1,2],\"t\":0}}\n\
+             {{\"event\":\"submit\",\"job\":3,\"fingerprint\":\"000000000000000c\",\"spec\":{s3},\"t\":0}}\n\
+             {{\"event\":\"dispatch\",\"job\":1,\"node\":\"w1\",\"t\":0}}\n\
+             {{\"event\":\"dispatch\",\"job\":2,\"node\":\"w2\",\"t\":0}}\n\
+             {{\"event\":\"done\",\"job\":1,\"t\":0}}\n\
+             {{\"event\":\"fail\",\"job\":2,\"error\":\"boom\",\"t\":0}}\n\
+             {{\"event\":\"dispatch\",\"job\":3,\"node\":\"w1\",\"t\":0}}\n"
+        );
+
+        let _ = std::fs::remove_file(&path);
+        let j = Journal::open(&path).unwrap();
+        j.submit(1, Some(1), 0xa, &spec(1));
+        j.submit(2, Some(1), 0xb, &spec(2));
+        j.sweep(1, &[1, 2]);
+        j.submit(3, None, 0xc, &spec(3));
+        j.dispatch(1, "w1");
+        j.dispatch(2, "w2");
+        j.done(1);
+        j.fail(2, "boom");
+        j.dispatch(3, "w1");
+        drop(j);
+        let written: String = std::fs::read_to_string(&path)
+            .unwrap()
+            .lines()
+            .map(|l| format!("{},\"t\":0}}\n", &l[..l.rfind(",\"t\":").unwrap()]))
+            .collect();
+        assert_eq!(written, body, "writer drifted from the on-disk format");
+
+        std::fs::write(&path, body).unwrap();
+        let rec = recover(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(rec.skipped_lines, 0);
+        assert_eq!(rec.max_id, 3);
+        assert_eq!(rec.max_sweep_id, 1);
+        assert_eq!(rec.sweeps, vec![(1, vec![1, 2])]);
+        assert_eq!(rec.jobs.len(), 3);
+        assert_eq!(rec.jobs[0].outcome, RecoveredOutcome::Done);
+        assert_eq!(rec.jobs[0].sweep, Some(1));
+        assert_eq!(rec.jobs[0].fingerprint, 0xa);
+        assert_eq!(rec.jobs[1].outcome, RecoveredOutcome::Failed("boom".into()));
+        assert_eq!(rec.jobs[2].outcome, RecoveredOutcome::Unfinished);
+        assert_eq!(rec.jobs[2].sweep, None);
     }
 
     /// Replay resolves outcome lines by id in O(1): 100k jobs (a submit
@@ -406,7 +552,7 @@ mod tests {
         let path = tmp("torn.jsonl");
         let _ = std::fs::remove_file(&path);
         let j = Journal::open(&path).unwrap();
-        j.submit(1, 0x1, &spec(1));
+        j.submit(1, None, 0x1, &spec(1));
         drop(j);
         // Simulate a crash mid-write of the next record.
         {
@@ -429,9 +575,9 @@ mod tests {
         let path = tmp("midline.jsonl");
         let _ = std::fs::remove_file(&path);
         let j = Journal::open(&path).unwrap();
-        j.submit(1, 0x1, &spec(1));
+        j.submit(1, None, 0x1, &spec(1));
         j.done(1);
-        j.submit(2, 0x2, &spec(2));
+        j.submit(2, None, 0x2, &spec(2));
         j.done(2);
         drop(j);
         // Clobber line 2 (`done 1`) in place with non-UTF-8 garbage of
@@ -469,12 +615,21 @@ mod tests {
         let path = tmp("orphan.jsonl");
         let _ = std::fs::remove_file(&path);
         let j = Journal::open(&path).unwrap();
+        j.submit(1, None, 0x1, &spec(1));
         j.done(7);
         j.fail(8, "boom");
         drop(j);
+        // An orphan cut mid-write by a crash is a torn tail as well.
+        {
+            let mut f = std::fs::File::options().append(true).open(&path).unwrap();
+            f.write_all(b"{\"event\":\"done\",\"jo").unwrap();
+        }
         let rec = recover(&path).unwrap();
-        assert!(rec.jobs.is_empty());
-        assert_eq!(rec.skipped_lines, 2);
+        assert_eq!(rec.jobs.len(), 1);
+        assert_eq!(rec.jobs[0].outcome, RecoveredOutcome::Unfinished);
+        assert_eq!(rec.skipped_lines, 3);
+        // Orphans still advance the id high-water mark.
+        assert_eq!(rec.max_id, 8);
         let _ = std::fs::remove_file(&path);
     }
 
@@ -483,14 +638,17 @@ mod tests {
         let path = tmp("compact.jsonl");
         let _ = std::fs::remove_file(&path);
         let j = Journal::open(&path).unwrap();
-        j.submit(1, 0xa, &spec(1));
+        j.submit(1, None, 0xa, &spec(1));
         j.start(1);
         j.done(1);
-        j.submit(2, 0xb, &spec(2));
+        j.submit(2, Some(1), 0xb, &spec(2));
+        j.sweep(1, &[2]);
         j.coalesce(2);
         j.start(2);
         j.fail(2, "boom");
-        j.submit(3, 0xc, &spec(3));
+        j.submit(3, Some(2), 0xc, &spec(3));
+        j.sweep(2, &[3]);
+        j.dispatch(3, "w1");
         j.start(3);
         // Job 9 exists only as an orphaned done record (its submit line
         // was lost) — compaction drops it but must keep max_id = 9.
@@ -500,11 +658,15 @@ mod tests {
         assert_eq!(stats.jobs, 3);
         assert_eq!(stats.terminal, 2);
         assert_eq!(stats.unfinished, 1);
-        assert_eq!(stats.lines_before, 10);
-        assert_eq!(stats.lines_after, 6); // marker + 3 submits + 2 outcomes
+        assert_eq!(stats.lines_before, 13);
+        // marker + 2 sweeps + 3 submits + 2 outcomes
+        assert_eq!(stats.lines_after, 8);
         let rec = recover(&path).unwrap();
         assert_eq!(rec.skipped_lines, 0);
         assert_eq!(rec.max_id, 9);
+        assert_eq!(rec.sweeps, vec![(1, vec![2]), (2, vec![3])]);
+        assert_eq!(rec.max_sweep_id, 2);
+        assert_eq!(rec.jobs[2].sweep, Some(2));
         assert_eq!(rec.jobs.len(), 3);
         assert_eq!(rec.jobs[0].outcome, RecoveredOutcome::Done);
         assert_eq!(rec.jobs[1].outcome, RecoveredOutcome::Failed("boom".into()));
@@ -522,7 +684,7 @@ mod tests {
         let path = tmp("compact-corrupt.jsonl");
         let _ = std::fs::remove_file(&path);
         let j = Journal::open(&path).unwrap();
-        j.submit(1, 0x1, &spec(1));
+        j.submit(1, None, 0x1, &spec(1));
         j.done(1);
         drop(j);
         {
@@ -560,7 +722,7 @@ mod tests {
     #[test]
     fn disabled_journal_is_a_no_op() {
         let j = Journal::none();
-        j.submit(1, 0x1, &spec(1));
+        j.submit(1, None, 0x1, &spec(1));
         j.done(1);
         assert!(j.path().is_none());
     }
@@ -571,7 +733,7 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         {
             let j = Journal::open(&path).unwrap();
-            j.submit(1, 0x1, &spec(1));
+            j.submit(1, None, 0x1, &spec(1));
         }
         {
             let j = Journal::open(&path).unwrap();

@@ -736,7 +736,7 @@ fn submit(state: &Arc<State>, spec: JobSpec) -> Result<Submitted, Reject> {
         drop(inflight);
         let id = state.alloc_id();
         let job = Arc::new(Job::new(id, spec.clone(), fp));
-        state.journal.submit(id, fp, &spec);
+        state.journal.submit(id, None, fp, &spec);
         state.journal.done(id);
         job.set_state(JobState::Done(Box::new(report)));
         job.events.close();
@@ -780,7 +780,7 @@ fn submit(state: &Arc<State>, spec: JobSpec) -> Result<Submitted, Reject> {
     }) {
         Ok(()) => {
             inflight.insert(fp, id);
-            state.journal.submit(id, fp, &spec);
+            state.journal.submit(id, None, fp, &spec);
             state.counters.submitted.fetch_add(1, Ordering::Relaxed);
             Ok(Submitted::New(id))
         }

@@ -319,7 +319,7 @@ fn journal_recovery_restores_done_jobs_and_requeues_unfinished() {
     {
         let j = esteem_serve::Journal::open(&journal).unwrap();
         let fp = unfinished_spec.resolve().unwrap().fingerprint;
-        j.submit(unfinished_id, fp, &unfinished_spec);
+        j.submit(unfinished_id, None, fp, &unfinished_spec);
         j.start(unfinished_id);
     }
 
