@@ -1,161 +1,28 @@
-//! Dependency-free microbenchmarks for the simulator hot paths.
+//! Microbenchmark of the cost of observing: `histogram_record_ns`, the ns
+//! per `esteem_stats::Histogram::record` on the log-linear latency
+//! histogram every metrics tap in the daemon and the simulator uses.
 //!
-//! Unlike the criterion benches in `crates/bench`, this binary uses plain
-//! `std::time::Instant` so it runs anywhere (CI included) in seconds and
-//! emits a single machine-readable JSON file. It measures the three layers
-//! the sweeps spend their time in:
-//!
-//! 1. `cache_access_ns_per_op` — one `SetAssocCache::access` on the paper's
-//!    4 MB 16-way L2 geometry, driven by a pre-generated workload stream;
-//! 2. `batch_kernel_ns_per_access` — the compact L1 batch kernel
-//!    `SetAssocCache::access_batch_l1` fed refill-sized blocks of
-//!    pre-encoded accesses (the struct-of-arrays hot path every core
-//!    bundle runs);
-//! 3. `refresh_advance_ns_per_period` — one `RefreshEngine::advance` over a
-//!    retention period (periodic-valid policy, the ESTEEM/baseline path);
-//! 4. `histogram_record_ns` — one `esteem_stats::Histogram::record`, the
-//!    per-event cost of every latency-metrics tap in the stack;
-//! 5. `sim_minstr_per_s` — end-to-end simulated instructions per wall
-//!    second on a small Figure-3 subset (baseline + ESTEEM + RPV), the
-//!    number that bounds every figure/table sweep.
+//! The simulator and daemon timings live in the repository benchmark
+//! (`perfbench/`); this binary times only the one cost it does not.
 //!
 //! ```text
-//! esteem-microbench [--quick] [--out PATH]
+//! esteem-microbench
 //! ```
 //!
-//! `--quick` shrinks iteration counts for CI smoke runs. The JSON report is
-//! written to `BENCH_hotpath.json` in the current directory by default.
+//! Prints a JSON object in the format of the committed
+//! `BENCH_hotpath.json`, which `scripts/perf_gate.sh` gates and
+//! `scripts/perf_gate.sh record` rewrites.
 
 use std::process::ExitCode;
 use std::time::Instant;
 
-use esteem_cache::{CacheGeometry, SetAssocCache};
-use esteem_core::{Simulator, Technique};
-use esteem_edram::{RefreshEngine, RefreshPolicy, RetentionSpec};
-use esteem_harness::{default_algo, single_core_cfg, Scale};
-use esteem_workloads::{benchmark_by_name, AccessStream};
+/// Records timed per run.
+const OPS: u64 = 8_000_000;
 
-struct Args {
-    quick: bool,
-    out: String,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        quick: false,
-        out: "BENCH_hotpath.json".to_owned(),
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--quick" => args.quick = true,
-            "--out" => args.out = it.next().ok_or("--out needs a path")?,
-            "-h" | "--help" => {
-                return Err("usage: esteem-microbench [--quick] [--out PATH]".to_owned())
-            }
-            other => return Err(format!("unknown argument {other}")),
-        }
-    }
-    Ok(args)
-}
-
-/// L2 cache-access latency: ns per `SetAssocCache::access` on the paper's
-/// single-core L2 (4 MB, 16-way, 4 banks, 8 modules, leader stride 64),
-/// with the address sequence generated up front so only the cache is timed.
-fn bench_cache_access(ops: u64) -> f64 {
-    let geom = CacheGeometry::from_capacity(4 << 20, 16, 64, 4, 8);
-    let mut cache = SetAssocCache::new(geom, Some(64));
-    let profile = benchmark_by_name("gcc").expect("known benchmark");
-    let mut stream = AccessStream::new(&profile, 0, 1);
-    let blocks: Vec<(u64, bool)> = (0..ops)
-        .map(|_| {
-            let b = stream.next_bundle();
-            (b.mem.block, b.mem.write)
-        })
-        .collect();
-    let started = Instant::now();
-    let mut hits = 0u64;
-    for (i, &(block, write)) in blocks.iter().enumerate() {
-        if cache.access(block, write, i as u64).hit {
-            hits += 1;
-        }
-    }
-    let elapsed = started.elapsed();
-    assert!(hits > 0, "stream must hit the cache");
-    elapsed.as_nanos() as f64 / ops as f64
-}
-
-/// Batch-kernel latency: ns per access through the compact L1 kernel
-/// `SetAssocCache::access_batch_l1` — the struct-of-arrays hot path every
-/// core bundle takes — on the simulator's L1 geometry (32 KB, 4-way,
-/// single module), fed in refill-sized blocks of pre-encoded accesses.
-fn bench_batch_kernel(ops: u64) -> f64 {
-    use esteem_cache::{encode_l1_access, L1Rec};
-    const BLOCK: usize = 256;
-    let geom = CacheGeometry::from_capacity(32 << 10, 4, 64, 1, 1);
-    let mut cache = SetAssocCache::new(geom, None);
-    cache.set_retention_tracking(false);
-    assert!(cache.supports_l1_batch(), "L1 must take the compact kernel");
-    let profile = benchmark_by_name("gcc").expect("known benchmark");
-    let mut stream = AccessStream::new(&profile, 0, 1);
-    let encoded: Vec<u64> = (0..ops)
-        .map(|_| {
-            let b = stream.next_bundle();
-            encode_l1_access(b.mem.block, b.mem.write)
-        })
-        .collect();
-    let mut recs: Vec<L1Rec> = Vec::new();
-    let mut wbs: Vec<u64> = Vec::new();
-    let started = Instant::now();
-    let mut hits = 0u64;
-    for chunk in encoded.chunks(BLOCK) {
-        cache.access_batch_l1(chunk, &mut recs, &mut wbs);
-        // Consume and recycle the records each block, as the simulator
-        // does, so the buffers stay cache-resident instead of growing.
-        hits += recs.iter().filter(|r| r.hit()).count() as u64;
-        recs.clear();
-        wbs.clear();
-    }
-    let elapsed = started.elapsed();
-    assert!(hits > 0, "stream must hit the L1");
-    elapsed.as_nanos() as f64 / ops as f64
-}
-
-/// Refresh-engine advance cost: ns per retention period of periodic-valid
-/// refresh over a warmed 4 MB L2 (the policy both the baseline-valid and
-/// ESTEEM configurations run).
-fn bench_refresh_advance(periods: u64) -> f64 {
-    let geom = CacheGeometry::from_capacity(4 << 20, 16, 64, 4, 1);
-    let mut cache = SetAssocCache::new(geom, None);
-    let profile = benchmark_by_name("milc").expect("known benchmark");
-    let mut stream = AccessStream::new(&profile, 0, 1);
-    for i in 0..400_000u64 {
-        let b = stream.next_bundle();
-        cache.access(b.mem.block, b.mem.write, i);
-    }
-    let retention = RetentionSpec::from_micros(50.0, 2.0);
-    let period = retention.period_cycles;
-    let mut engine = RefreshEngine::new(RefreshPolicy::PeriodicValid, retention, &cache);
-    let started = Instant::now();
-    let mut total = 0u64;
-    for p in 1..=periods {
-        total += engine.advance(&mut cache, p * period).refreshes;
-        if p.is_multiple_of(16) {
-            // Keep the drain path (called once per contention window by the
-            // system simulator) inside the measured loop.
-            let _ = engine.drain_bank_refreshes();
-        }
-    }
-    let elapsed = started.elapsed();
-    assert!(total > 0, "a warmed cache must need refreshes");
-    elapsed.as_nanos() as f64 / periods as f64
-}
-
-/// Histogram recording cost: ns per `Histogram::record` on the
-/// log-linear latency histogram the daemon and simulator metrics taps
-/// use. Values are LCG-spread across the full tier range so the bench
-/// exercises the bucket-index path, not one hot cache line. This bounds
-/// the per-event overhead of attaching metrics anywhere in the stack.
+/// Histogram recording cost: ns per `Histogram::record`. Values are
+/// LCG-spread across the full tier range so the bench exercises the
+/// bucket-index path, not one hot cache line. This bounds the per-event
+/// overhead of attaching metrics anywhere in the stack.
 fn bench_histogram_record(ops: u64) -> f64 {
     let h = esteem_stats::Histogram::new();
     // Pre-generate the values so only `record` is timed.
@@ -183,78 +50,18 @@ fn bench_histogram_record(ops: u64) -> f64 {
     elapsed.as_nanos() as f64 / ops as f64
 }
 
-/// End-to-end simulator throughput in simulated Minstr per wall second on
-/// a Figure-3 subset: each workload runs baseline, ESTEEM, and RPV —
-/// exactly the per-row work of the figure sweeps. Runs fresh simulations
-/// (never the run cache): this measures the simulator itself.
-fn bench_end_to_end(benches: &[&str]) -> (f64, f64) {
-    let scale = Scale::Bench;
-    let mut algo = default_algo(1);
-    algo.interval_cycles = scale.interval_cycles();
-    let techniques = [Technique::Baseline, Technique::Esteem(algo), Technique::Rpv];
-    let mut simulated_instructions = 0u64;
-    let started = Instant::now();
-    for &name in benches {
-        let profile = benchmark_by_name(name).expect("known benchmark");
-        for &t in &techniques {
-            let cfg = single_core_cfg(t, scale, 50.0);
-            let report = Simulator::single(cfg, &profile).run();
-            simulated_instructions += report.total_instructions();
-        }
-    }
-    let seconds = started.elapsed().as_secs_f64();
-    let minstr_per_s = simulated_instructions as f64 / 1e6 / seconds;
-    (minstr_per_s, seconds)
-}
-
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::FAILURE;
+    if let Some(arg) = std::env::args().nth(1) {
+        if arg != "-h" && arg != "--help" {
+            eprintln!("unknown argument {arg}");
         }
-    };
-    let (cache_ops, refresh_periods, benches): (u64, u64, &[&str]) = if args.quick {
-        (1_000_000, 500, &["gamess"])
-    } else {
-        (8_000_000, 5_000, &["gcc", "gamess", "milc"])
-    };
-
-    eprintln!("[1/5] cache access ({cache_ops} ops)...");
-    let cache_ns = bench_cache_access(cache_ops);
-    eprintln!("      {cache_ns:.1} ns/op");
-    eprintln!("[2/5] batch kernel ({cache_ops} accesses)...");
-    let batch_ns = bench_batch_kernel(cache_ops);
-    eprintln!("      {batch_ns:.1} ns/access");
-    eprintln!("[3/5] refresh advance ({refresh_periods} periods)...");
-    let refresh_ns = bench_refresh_advance(refresh_periods);
-    eprintln!("      {refresh_ns:.1} ns/period");
-    eprintln!("[4/5] histogram record ({cache_ops} ops)...");
-    let histogram_ns = bench_histogram_record(cache_ops);
-    eprintln!("      {histogram_ns:.2} ns/record");
-    eprintln!("[5/5] end-to-end sim throughput ({benches:?} x 3 techniques)...");
-    let (minstr_per_s, e2e_seconds) = bench_end_to_end(benches);
-    eprintln!("      {minstr_per_s:.1} Minstr/s ({e2e_seconds:.2}s wall)");
-
-    // Hand-rolled JSON: this binary intentionally takes no serializer dep.
-    let json = format!(
-        "{{\n  \"bench\": \"hotpath\",\n  \"quick\": {},\n  \
-         \"cache_access_ns_per_op\": {:.3},\n  \
-         \"batch_kernel_ns_per_access\": {:.3},\n  \
-         \"refresh_advance_ns_per_period\": {:.1},\n  \
-         \"histogram_record_ns\": {:.3},\n  \
-         \"sim_minstr_per_s\": {:.2},\n  \
-         \"e2e_seconds\": {:.3}\n}}\n",
-        args.quick, cache_ns, batch_ns, refresh_ns, histogram_ns, minstr_per_s, e2e_seconds
-    );
-    match std::fs::write(&args.out, &json) {
-        Ok(()) => eprintln!("wrote {}", args.out),
-        Err(e) => {
-            eprintln!("writing {}: {e}", args.out);
-            return ExitCode::FAILURE;
-        }
+        eprintln!("usage: esteem-microbench");
+        return ExitCode::FAILURE;
     }
-    print!("{json}");
+    eprintln!("histogram record ({OPS} ops)...");
+    let histogram_ns = bench_histogram_record(OPS);
+    eprintln!("  {histogram_ns:.2} ns/record");
+    // Hand-rolled JSON: this binary intentionally takes no serializer dep.
+    println!("{{\n  \"bench\": \"hotpath\",\n  \"histogram_record_ns\": {histogram_ns:.3}\n}}");
     ExitCode::SUCCESS
 }

@@ -4,7 +4,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use esteem_harness::experiments::{
-    breakdown, calib, ecc, fig2, figs, overhead, table1, table2, table3,
+    ablations, breakdown, calib, ecc, fig2, figs, overhead, table1, table2, table3,
 };
 use esteem_harness::{results, Scale};
 use esteem_trace::{export, prof_span, TraceFilter, Tracer};
@@ -19,7 +19,7 @@ struct Args {
 
 fn usage() -> &'static str {
     "usage: esteem-repro [--scale bench|quick|default|paper] [--threads N] [--json DIR] [--trace FILE] <experiment>...\n\
-     experiments: table1 table2 overhead fig2 fig3 fig4 fig5 fig6 table3 table3-dual calib ecc breakdown:<bench> all\n\
+     experiments: table1 table2 overhead fig2 fig3 fig4 fig5 fig6 table3 table3-dual calib ecc ablations breakdown:<bench> all\n\
      --trace FILE: harness self-trace (run-cache lookups + per-experiment wall-clock spans);\n\
                    .json -> Chrome trace-event JSON, else JSONL"
 }
@@ -135,8 +135,16 @@ fn run_one(args: &Args, tracer: &Tracer, name: &str) -> Result<(), String> {
             print!("{}", ecc::render(&rows));
             save(args, "ecc_extension", &rows);
         }
+        "ablations" => {
+            let rows = ablations::run(scale, threads);
+            print!("{}", ablations::render(&rows));
+            save(args, "ablations", &rows);
+        }
         name if name.starts_with("breakdown:") => {
             let bench = &name["breakdown:".len()..];
+            if esteem_workloads::benchmark_by_name(bench).is_none() {
+                return Err(format!("unknown benchmark {bench:?} in {name}"));
+            }
             let rows = breakdown::run(scale, bench);
             print!("{}", breakdown::render(bench, &rows));
         }

@@ -1,5 +1,6 @@
 //! One module per regenerated table/figure (DESIGN.md §5).
 
+pub mod ablations;
 pub mod breakdown;
 pub mod calib;
 pub mod ecc;

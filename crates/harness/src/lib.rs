@@ -4,9 +4,14 @@
 //! The `esteem-repro` binary is the entry point:
 //!
 //! ```text
-//! esteem-repro [--scale quick|default|paper] [--threads N] [--json DIR] <experiment>
-//!   experiments: table1 table2 overhead fig2 fig3 fig4 fig5 fig6 table3 calib all
+//! esteem-repro [--scale bench|quick|default|paper] [--threads N] [--json DIR] [--trace FILE] <experiment>...
+//!   experiments: table1 table2 overhead fig2 fig3 fig4 fig5 fig6 table3 table3-dual
+//!                calib ecc ablations breakdown:<bench> all
 //! ```
+//!
+//! `all` runs the paper's artifacts (table1 through table3-dual); the
+//! calibration probe, the ECC extension, the ablations and the power
+//! breakdown run only when named.
 //!
 //! Every experiment prints the same rows/series the paper reports and can
 //! persist machine-readable JSON next to the text output. Runs are

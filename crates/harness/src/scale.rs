@@ -7,7 +7,7 @@
 /// retain the qualitative results; `Paper` reproduces the full length.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
-    /// 2 M instructions — smoke tests and criterion benches.
+    /// 2 M instructions — smoke tests and the CI experiment runs.
     Bench,
     /// 10 M instructions — fast iteration.
     Quick,

@@ -95,6 +95,8 @@ fn repro_rejects_bad_values() {
     assert_clean_failure(&run_repro(&["--threads", "0", "table1"]), "--threads");
     assert_clean_failure(&run_repro(&["--scale", "huge", "table1"]), "bad scale");
     assert_clean_failure(&run_repro(&["no-such-experiment"]), "unknown experiment");
+    assert_clean_failure(&run_repro(&["breakdown:nosuch"]), "unknown benchmark");
+    assert_clean_failure(&run_repro(&["breakdown:"]), "unknown benchmark");
 }
 
 #[test]

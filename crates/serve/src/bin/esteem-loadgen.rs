@@ -28,17 +28,13 @@
 //!   --backoff-ms <ms>        base transport backoff (default 50)
 //!   --poll-ms <ms>           completion poll cadence (default 5)
 //!   --max-in-flight <n>      open-loop client-side cap (default 256)
-//!   --sweep <c1,c2,...>      saturation sweep over closed-loop
-//!                            concurrencies; emits the BENCH_serve.json
-//!                            payload instead of a single-run report
 //!   --out <file>             write the report there instead of stdout
 //!   --smoke                  print the deterministic schedule digest
 //!                            for the first 256 planned jobs and exit
 //!                            (no daemon needed)
 //! ```
 //!
-//! Single runs print a JSON [`esteem_serve::loadgen::Report`]; sweeps
-//! print the `BENCH_serve.json` document (points + saturation RPS).
+//! A run prints a JSON [`esteem_serve::loadgen::Report`].
 
 use std::process::ExitCode;
 use std::time::Duration;
@@ -52,11 +48,10 @@ const HELP: &str = "usage: esteem-loadgen [--addr host:port] [--mode open|closed
      [--expensive-frac f] [--cheap-instr n] [--expensive-instr n] [--workload name] \
      [--warmup cycles|full] \
      [--priority p] [--retries n] [--backoff-ms ms] [--poll-ms ms] [--max-in-flight n] \
-     [--sweep c1,c2,...] [--out file] [--smoke]";
+     [--out file] [--smoke]";
 
 struct Cli {
     opts: LoadgenOptions,
-    sweep: Option<Vec<usize>>,
     out: Option<std::path::PathBuf>,
     smoke: bool,
 }
@@ -68,7 +63,6 @@ fn parse() -> Result<Cli, String> {
     let mut concurrency = 4usize;
     let mut retries = 0u32;
     let mut backoff_ms = 50u64;
-    let mut sweep = None;
     let mut out = None;
     let mut smoke = false;
     let mut it = std::env::args().skip(1);
@@ -187,15 +181,6 @@ fn parse() -> Result<Cli, String> {
                     return Err("--max-in-flight must be >= 1".into());
                 }
             }
-            "--sweep" => {
-                let spec = next(&mut it, "--sweep")?;
-                let cs: Result<Vec<usize>, _> = spec.split(',').map(|s| s.trim().parse()).collect();
-                let cs = cs.map_err(|e| format!("--sweep: {e}"))?;
-                if cs.is_empty() || cs.contains(&0) {
-                    return Err("--sweep needs concurrencies >= 1".into());
-                }
-                sweep = Some(cs);
-            }
             "--out" => out = Some(next(&mut it, "--out")?.into()),
             "--smoke" => smoke = true,
             "-h" | "--help" => return Err(HELP.into()),
@@ -210,12 +195,7 @@ fn parse() -> Result<Cli, String> {
     if retries > 0 {
         opts.retry = RetryPolicy::new(retries, backoff_ms).with_seed(opts.seed);
     }
-    Ok(Cli {
-        opts,
-        sweep,
-        out,
-        smoke,
-    })
+    Ok(Cli { opts, out, smoke })
 }
 
 fn emit(out: &Option<std::path::PathBuf>, body: &str) -> Result<(), String> {
@@ -245,16 +225,8 @@ fn main() -> ExitCode {
         );
         return ExitCode::SUCCESS;
     }
-    let body = match &cli.sweep {
-        Some(cs) => {
-            let v = loadgen::saturation_sweep(&cli.opts, cs, cli.opts.duration);
-            serde_json::to_string_pretty(&v).expect("serializes")
-        }
-        None => {
-            let report = loadgen::run(&cli.opts);
-            serde_json::to_string_pretty(&report.to_value()).expect("serializes")
-        }
-    };
+    let report = loadgen::run(&cli.opts);
+    let body = serde_json::to_string_pretty(&report.to_value()).expect("serializes");
     match emit(&cli.out, &body) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {

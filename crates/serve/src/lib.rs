@@ -29,8 +29,7 @@
 //!   [`RetryPolicy`] honors server `Retry-After` hints on 429.
 //! * [`loadgen`] — the `esteem-loadgen` harness: open-loop (Poisson)
 //!   and closed-loop (fixed concurrency) arrivals, cheap/expensive job
-//!   mixes, a cache-hit-ratio knob, and saturation sweeps that produce
-//!   `BENCH_serve.json`.
+//!   mixes, and a cache-hit-ratio knob.
 //!
 //! API summary (see DESIGN.md §13 for the full contract):
 //!

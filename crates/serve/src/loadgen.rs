@@ -9,9 +9,8 @@
 //!
 //! * **Closed loop** — a fixed number of concurrent clients, each
 //!   submitting its next job the moment the previous one finishes.
-//!   Sweeping the concurrency maps the daemon's throughput/latency
-//!   curve; the peak of that curve is the saturation RPS recorded in
-//!   `BENCH_serve.json` (see [`saturation_sweep`]).
+//!   Stepping the concurrency, with a distinct `--seed` per step, maps
+//!   the daemon's throughput/latency curve (EXPERIMENTS.md).
 //! * **Open loop** — Poisson arrivals at a target rate, independent of
 //!   completions. This is the model that exposes queueing collapse: an
 //!   open-loop generator does not politely slow down when the server
@@ -306,7 +305,7 @@ impl LatencySummary {
     }
 }
 
-/// One load run's report (serializes to the JSON the sweep embeds).
+/// One load run's report (`esteem-loadgen`'s JSON output).
 #[derive(Debug)]
 pub struct Report {
     pub mode: String,
@@ -520,77 +519,6 @@ fn server_queue_wait(addr: &str) -> Option<LatencySummary> {
             .and_then(|(_, v)| f64::from_value(v).ok())
             .unwrap_or(0.0),
     })
-}
-
-/// Sweeps closed-loop concurrency and reports the saturation point —
-/// the `BENCH_serve.json` payload. Saturation RPS is the peak completed
-/// throughput over the sweep; the latency columns let the experiment
-/// recipe show the knee (throughput flattens, p95 keeps climbing).
-pub fn saturation_sweep(
-    base: &LoadgenOptions,
-    concurrencies: &[usize],
-    per_point: Duration,
-) -> Value {
-    let mut points = Vec::new();
-    let mut saturation_rps = 0.0f64;
-    let mut at_saturation: Option<LatencySummary> = None;
-    for (i, &c) in concurrencies.iter().enumerate() {
-        let opts = LoadgenOptions {
-            mode: Mode::Closed { concurrency: c },
-            duration: per_point,
-            // Each point gets its own planner stream. Reusing the base
-            // seed verbatim would replan the identical job sequence at
-            // every concurrency, turning every point after the first
-            // into a run-cache replay of its predecessors — the sweep
-            // would measure the cache, not the serving path.
-            seed: splitmix64(base.seed ^ ((i as u64 + 1) << 32)),
-            ..base.clone()
-        };
-        let r = run(&opts);
-        if r.throughput_rps > saturation_rps {
-            saturation_rps = r.throughput_rps;
-            at_saturation = Some(r.latency);
-        }
-        points.push(Value::Map(vec![
-            ("concurrency".into(), (c as u64).to_value()),
-            ("throughput_rps".into(), Value::F64(r.throughput_rps)),
-            ("completed".into(), r.completed.to_value()),
-            ("shed".into(), r.shed.to_value()),
-            ("shed_rate".into(), Value::F64(r.shed_rate)),
-            ("p50_us".into(), r.latency.p50_us.to_value()),
-            ("p95_us".into(), r.latency.p95_us.to_value()),
-            ("p99_us".into(), r.latency.p99_us.to_value()),
-        ]));
-    }
-    Value::Map(vec![
-        ("bench".into(), Value::Str("serve_saturation".into())),
-        ("workload".into(), Value::Str(base.workload.clone())),
-        ("seed".into(), base.seed.to_value()),
-        ("hit_ratio".into(), Value::F64(base.hit_ratio)),
-        ("expensive_frac".into(), Value::F64(base.expensive_frac)),
-        (
-            "cheap_instructions".into(),
-            base.cheap_instructions.to_value(),
-        ),
-        (
-            "expensive_instructions".into(),
-            base.expensive_instructions.to_value(),
-        ),
-        (
-            "warmup_cycles".into(),
-            base.warmup.map(|w| w.to_value()).unwrap_or(Value::Null),
-        ),
-        (
-            "per_point_seconds".into(),
-            Value::F64(per_point.as_secs_f64()),
-        ),
-        ("points".into(), Value::Seq(points)),
-        ("saturation_rps".into(), Value::F64(saturation_rps)),
-        (
-            "latency_at_saturation_us".into(),
-            at_saturation.map(|l| l.to_value()).unwrap_or(Value::Null),
-        ),
-    ])
 }
 
 #[cfg(test)]

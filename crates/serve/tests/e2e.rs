@@ -1129,7 +1129,7 @@ fn loadgen_smoke_digest_is_deterministic() {
     assert_ne!(a, c, "a different seed must move the digest");
 }
 
-/// The acceptance criterion: under sustained open-loop overload (1.3x
+/// The acceptance condition: under sustained open-loop overload (1.3x
 /// the probed saturation rate) of a one-worker daemon, `--slo-ms`
 /// admission keeps queue-wait p95 within 2x the SLO, while the
 /// uncontrolled baseline blows through it. Everything is measured in

@@ -1,118 +1,147 @@
 #!/usr/bin/env bash
-# Perf-regression smoke gate for the simulator hot path.
+# Perf-regression gate: the repository benchmark (perfbench/, see
+# BENCHMARK.json) against its committed results.
 #
-# Runs the full esteem-microbench suite and fails if end-to-end simulator
-# throughput (`sim_minstr_per_s`) fell more than an allowed fraction below
-# the committed reference in BENCH_hotpath.json, or if the per-event
-# metrics tap (`histogram_record_ns`) got slower by more than the inverse
-# margin — the tap guards every latency histogram in the daemon and the
-# simulator, so a regression there taxes everything. The reference numbers are
-# machine-dependent, so the gate is a *smoke* check with a generous margin:
-# it catches "someone made the hot path 2x slower", not 3% drift. CI
-# machines that are simply slower than the reference box can lower the bar
-# via PERF_GATE_FRACTION (e.g. 0.5) without editing the workflow.
+# Runs every perfbench workload at seeds 1, 2 and 3 for 5 s each. Every
+# run must report "correct": true. For each workload, the median
+# sim_minstr_per_s and the median jobs_per_s must reach PERF_GATE_FRACTION
+# of the median of the committed results/perfbench/<workload>-seed<N>-trace0.json
+# files. Those are perfbench's own result files, so each verdict prints
+# the committed host and interquartile range next to the fresh host.
 #
-# Usage: scripts/perf_gate.sh [path-to-reference.json]
+# One cost perfbench does not time is gated here too: the median
+# histogram_record_ns of three esteem-microbench runs (the per-event cost
+# of every latency-metrics tap) may rise to the committed
+# BENCH_hotpath.json value divided by the same fraction.
+#
+# The committed numbers are machine-dependent, so this is a smoke check:
+# it catches "someone made a workload 2x slower", not 3% drift. Slower
+# machines lower the bar with PERF_GATE_FRACTION (CI sets 0.5).
+#
+# Usage: scripts/perf_gate.sh           gate the tree
+#        scripts/perf_gate.sh record    make the same runs and rewrite
+#                                       results/perfbench/ and BENCH_hotpath.json
 #   PERF_GATE_FRACTION  minimum allowed fresh/committed ratio (default 0.85)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-ref="${1:-BENCH_hotpath.json}"
+mode="${1:-gate}"
+case "$mode" in
+  gate | record) ;;
+  *)
+    echo "usage: scripts/perf_gate.sh [record]" >&2
+    exit 2
+    ;;
+esac
 fraction="${PERF_GATE_FRACTION:-0.85}"
-fresh="$(mktemp /tmp/bench_fresh.XXXXXX.json)"
-trap 'rm -f "$fresh"' EXIT
+workloads=(sim-thrash serve-hit serve-fresh)
+seeds=(1 2 3)
+baseline=results/perfbench
 
-extract() { # extract <file> <key>  -> numeric value
-  sed -n "s/.*\"$2\": *\([0-9.]*\).*/\1/p" "$1" | head -n1
-}
+fresh="$(mktemp -d /tmp/perf_gate.XXXXXX)"
+trap 'rm -rf "$fresh"' EXIT
 
-committed="$(extract "$ref" sim_minstr_per_s)"
-if [ -z "$committed" ]; then
-  echo "perf gate: no sim_minstr_per_s in $ref" >&2
-  exit 2
-fi
+cargo build --offline --release --manifest-path perfbench/Cargo.toml
+cargo build --offline --release -p esteem-harness --bin esteem-microbench
 
-cargo build --release -p esteem-harness --bin esteem-microbench
-./target/release/esteem-microbench --out "$fresh" >/dev/null
-measured="$(extract "$fresh" sim_minstr_per_s)"
-if [ -z "$measured" ]; then
-  echo "perf gate: microbench produced no sim_minstr_per_s" >&2
-  exit 2
-fi
+# perfbench writes each run's result file, with its host and bounds, to
+# .perfbench/results/ under the working directory.
+for w in "${workloads[@]}"; do
+  for s in "${seeds[@]}"; do
+    echo "perf gate: $w seed $s"
+    perfbench/target/release/esteem-perfbench --workload "$w" --seed "$s" \
+      --seconds 5 >/dev/null
+    cp ".perfbench/results/$w-seed$s-trace0.json" "$fresh/"
+  done
+done
+for s in "${seeds[@]}"; do
+  ./target/release/esteem-microbench >"$fresh/hotpath-$s.json"
+done
 
-floor="$(awk -v c="$committed" -v f="$fraction" 'BEGIN { printf "%.2f", c * f }')"
-echo "perf gate: committed ${committed} Minstr/s, measured ${measured}, floor ${floor} (fraction ${fraction})"
-awk -v m="$measured" -v fl="$floor" 'BEGIN { exit !(m + 0 >= fl + 0) }' || {
-  echo "perf gate: FAIL — sim_minstr_per_s ${measured} < ${floor}" >&2
-  echo "           (regenerate BENCH_hotpath.json if the slowdown is intended)" >&2
-  exit 1
-}
+python3 - "$mode" "$fresh" "$baseline" "$fraction" "${workloads[*]}" "${seeds[*]}" <<'EOF'
+import json
+import os
+import shutil
+import statistics
+import sys
+
+mode, fresh_dir, baseline_dir = sys.argv[1], sys.argv[2], sys.argv[3]
+fraction = float(sys.argv[4])
+workloads, seeds = sys.argv[5].split(), sys.argv[6].split()
+METRICS = ("sim_minstr_per_s", "jobs_per_s")
+
+# The microbench run with the median histogram_record_ns.
+runs = [json.load(open(f"{fresh_dir}/hotpath-{seed}.json")) for seed in seeds]
+hotpath = sorted(runs, key=lambda r: r["histogram_record_ns"])[len(runs) // 2]
+
+if mode == "record":
+    os.makedirs(baseline_dir, exist_ok=True)
+    for workload in workloads:
+        for seed in seeds:
+            name = f"{workload}-seed{seed}-trace0.json"
+            shutil.copy(f"{fresh_dir}/{name}", f"{baseline_dir}/{name}")
+    with open("BENCH_hotpath.json", "w") as out:
+        out.write(json.dumps(hotpath, indent=2) + "\n")
+    print(f"perf gate: recorded {baseline_dir}/ and BENCH_hotpath.json")
+    sys.exit(0)
+
+
+def load(directory, workload):
+    return [
+        json.load(open(f"{directory}/{workload}-seed{seed}-trace0.json"))
+        for seed in seeds
+    ]
+
+
+def host(docs):
+    hosts = {
+        "{nproc} x {cpu_model}, {rustc}, commit {git_commit}".format(**d["host"])
+        for d in docs
+    }
+    return "; ".join(sorted(hosts))
+
+
+def value(doc, metric):
+    return doc["result"]["metrics"][metric]["value"]
+
+
+failed = False
+for workload in workloads:
+    fresh, committed = load(fresh_dir, workload), load(baseline_dir, workload)
+    print(f"perf gate: {workload}")
+    print(f"  committed host: {host(committed)}")
+    print(f"  fresh host:     {host(fresh)}")
+    for doc in fresh:
+        if not doc["result"]["correct"]:
+            failed = True
+            print(f"  FAIL: seed {doc['seed']} is not correct: {doc['result']}")
+    for metric in METRICS:
+        old = [value(d, metric) for d in committed]
+        q1, median_old, q3 = statistics.quantiles(old, n=4, method="inclusive")
+        median_new = statistics.median(value(d, metric) for d in fresh)
+        floor = median_old * fraction
+        ok = median_new >= floor
+        failed |= not ok
+        print(
+            f"  {'ok  ' if ok else 'FAIL'} {metric}: fresh median {median_new:.2f}, "
+            f"committed median {median_old:.2f} (IQR {q3 - q1:.2f}), "
+            f"floor {floor:.2f} (fraction {fraction})"
+        )
 
 # Histogram record cost: lower is better, so the ceiling is the committed
-# value divided by the same fraction. Skipped against reference files that
-# predate the key.
-committed_hist="$(extract "$ref" histogram_record_ns)"
-if [ -n "$committed_hist" ]; then
-  measured_hist="$(extract "$fresh" histogram_record_ns)"
-  if [ -z "$measured_hist" ]; then
-    echo "perf gate: microbench produced no histogram_record_ns" >&2
-    exit 2
-  fi
-  ceiling="$(awk -v c="$committed_hist" -v f="$fraction" 'BEGIN { printf "%.2f", c / f }')"
-  echo "perf gate: committed ${committed_hist} ns/record, measured ${measured_hist}, ceiling ${ceiling}"
-  awk -v m="$measured_hist" -v cl="$ceiling" 'BEGIN { exit !(m + 0 <= cl + 0) }' || {
-    echo "perf gate: FAIL — histogram_record_ns ${measured_hist} > ${ceiling}" >&2
-    echo "           (regenerate BENCH_hotpath.json if the slowdown is intended)" >&2
-    exit 1
-  }
-else
-  echo "perf gate: reference has no histogram_record_ns; skipping that check"
-fi
+# value divided by the same fraction.
+old = json.load(open("BENCH_hotpath.json"))["histogram_record_ns"]
+new = hotpath["histogram_record_ns"]
+ceiling = old / fraction
+ok = new <= ceiling
+failed |= not ok
+print(
+    f"perf gate: {'ok  ' if ok else 'FAIL'} histogram_record_ns: fresh median {new:.2f}, "
+    f"committed {old:.2f}, ceiling {ceiling:.2f}"
+)
 
-# Serving-path saturation: only gated once a BENCH_serve.json reference
-# is committed. A short closed-loop sweep against an ephemeral daemon
-# must stay within the same noise fraction of the committed saturation
-# RPS — this catches "someone made the submit/queue/complete path 2x
-# slower", which the simulator-side microbench cannot see.
-serve_ref="BENCH_serve.json"
-if [ -f "$serve_ref" ]; then
-  committed_rps="$(extract "$serve_ref" saturation_rps)"
-  if [ -z "$committed_rps" ]; then
-    echo "perf gate: no saturation_rps in $serve_ref" >&2
-    exit 2
-  fi
-  cargo build --release -p esteem-serve --bin esteem-serve --bin esteem-loadgen
-  serve_out="$(mktemp /tmp/perf_gate_serve.XXXXXX.out)"
-  serve_fresh="$(mktemp /tmp/bench_serve_fresh.XXXXXX.json)"
-  ./target/release/esteem-serve --addr 127.0.0.1:0 --workers 2 > "$serve_out" &
-  serve_pid=$!
-  trap 'rm -f "$fresh" "$serve_out" "$serve_fresh"; kill "$serve_pid" 2>/dev/null || true' EXIT
-  for _ in $(seq 1 50); do
-    grep -q "listening on " "$serve_out" && break
-    sleep 0.2
-  done
-  addr="$(sed -n 's/^listening on //p' "$serve_out")"
-  if [ -z "$addr" ]; then
-    echo "perf gate: daemon did not come up" >&2
-    exit 2
-  fi
-  ./target/release/esteem-loadgen --addr "$addr" --sweep 2,4,8 \
-    --duration-s 2 --out "$serve_fresh" >/dev/null
-  kill "$serve_pid" 2>/dev/null || true
-  wait "$serve_pid" 2>/dev/null || true
-  measured_rps="$(extract "$serve_fresh" saturation_rps)"
-  if [ -z "$measured_rps" ]; then
-    echo "perf gate: loadgen sweep produced no saturation_rps" >&2
-    exit 2
-  fi
-  floor_rps="$(awk -v c="$committed_rps" -v f="$fraction" 'BEGIN { printf "%.2f", c * f }')"
-  echo "perf gate: committed ${committed_rps} RPS at saturation, measured ${measured_rps}, floor ${floor_rps}"
-  awk -v m="$measured_rps" -v fl="$floor_rps" 'BEGIN { exit !(m + 0 >= fl + 0) }' || {
-    echo "perf gate: FAIL — saturation_rps ${measured_rps} < ${floor_rps}" >&2
-    echo "           (regenerate BENCH_serve.json if the slowdown is intended)" >&2
-    exit 1
-  }
-else
-  echo "perf gate: no BENCH_serve.json; skipping the serving-path check"
-fi
-echo "perf gate: OK"
+if failed:
+    print("perf gate: FAIL (run `scripts/perf_gate.sh record` if the change is intended)")
+    sys.exit(1)
+print("perf gate: OK")
+EOF
