@@ -1,9 +1,10 @@
 //! Golden-report guard: the exact `SimReport` JSON for the Table 3
 //! "Default" configuration, captured before the controller/stats
-//! refactor. Any byte-level drift in the report (field order, counter
-//! values, float formatting) breaks the run-cache fingerprint contract,
-//! so this test compares the serialized report against the committed
-//! golden file verbatim.
+//! refactor, plus the polyphase refresh policies (RPV and RPD on
+//! single-core `gamess`, RPV on the dual-core `GcGa` mix). Any byte-level
+//! drift in the report (field order, counter values, float formatting)
+//! breaks the run-cache fingerprint contract, so these tests compare the
+//! serialized report against the committed golden file verbatim.
 //!
 //! Regenerate (only when an intentional behavior change is made — bump
 //! `runcache::FINGERPRINT_VERSION` in the same commit!) with:
@@ -13,8 +14,8 @@
 //! ```
 
 use esteem_core::{Simulator, SystemConfig, Technique};
-use esteem_harness::{default_algo, single_core_cfg, Scale};
-use esteem_workloads::benchmark_by_name;
+use esteem_harness::{default_algo, dual_core_cfg, single_core_cfg, Scale};
+use esteem_workloads::{benchmark_by_name, mixes::mix_by_acronym};
 
 /// The Table 3 "Default" row's pair of runs at bench scale (the same
 /// config construction as `experiments::table3::run_cell`).
@@ -64,6 +65,29 @@ fn table3_default_baseline_report_matches_golden() {
     check_or_bless(
         "simreport_table3_default_baseline.json",
         &run(Technique::Baseline),
+    );
+}
+
+#[test]
+fn single_core_rpv_report_matches_golden() {
+    check_or_bless("simreport_gamess_rpv.json", &run(Technique::Rpv));
+}
+
+#[test]
+fn single_core_rpd_report_matches_golden() {
+    check_or_bless("simreport_gamess_rpd.json", &run(Technique::Rpd));
+}
+
+/// Two cores share the L2, so the polyphase schedule sees interleaved
+/// touches from both streams.
+#[test]
+fn dual_core_rpv_report_matches_golden() {
+    let m = mix_by_acronym("GcGa").expect("Table 1 mix");
+    let cfg = dual_core_cfg(Technique::Rpv, Scale::Bench, 50.0);
+    let report = Simulator::new(cfg, &[m.a, m.b], "GcGa").run();
+    check_or_bless(
+        "simreport_gcga_rpv.json",
+        &serde_json::to_string_pretty(&report).expect("report serializes"),
     );
 }
 
