@@ -79,6 +79,11 @@ pub struct SetAssocCache {
     /// valid lines (the counts are exact, maintained incrementally).
     pub(crate) valid_per_bank: Vec<u64>,
     active_slots: u64,
+    /// Monotone count of valid lines invalidated without a demand access:
+    /// way turn-off and [`Self::invalidate_line`]. A refresh engine that
+    /// keeps lines out of its per-line schedule compares it across
+    /// advances to learn that some of them may have gone.
+    invalidated: u64,
     /// Whether demand accesses record `last_update`. Only refresh policies
     /// that consult per-line retention clocks (the polyphase family and
     /// multi-periodic scrub) need the store; periodic-valid refresh and the
@@ -153,6 +158,7 @@ impl SetAssocCache {
             valid_lines: 0,
             valid_per_bank: vec![0; geom.banks as usize],
             active_slots: geom.total_slots(),
+            invalidated: 0,
             track_retention: true,
         }
     }
@@ -380,6 +386,7 @@ impl SetAssocCache {
                         self.bits[set_idx].dirty &= !bit;
                         self.valid_lines -= 1;
                         self.valid_per_bank[g.bank_of(set) as usize] -= 1;
+                        self.invalidated += 1;
                     }
                 }
             }
@@ -445,8 +452,16 @@ impl SetAssocCache {
             self.bits[set_idx].dirty &= !bit;
             self.valid_lines -= 1;
             self.valid_per_bank[self.geom.bank_of(set) as usize] -= 1;
+            self.invalidated += 1;
         }
         (was_valid, was_dirty)
+    }
+
+    /// Lifetime count of lines invalidated by way turn-off or
+    /// [`Self::invalidate_line`] (see the field docs). Evictions are not
+    /// counted: the fill that evicts is itself a demand access.
+    pub fn invalidated_lines(&self) -> u64 {
+        self.invalidated
     }
 
     /// Number of powered-on line slots (leader sets count fully).

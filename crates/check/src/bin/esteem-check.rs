@@ -11,8 +11,11 @@
 //! reproducer JSON into `--out` (default `results/repros/`). Each case
 //! also fuzzes Algorithm 1 against its reference transcription. The run
 //! ends with a line `L1 replica: N of M cases` counting the cases that
-//! were also replayed through the L1 batch kernel. Exit code is nonzero
-//! iff any divergence was found.
+//! were also replayed through the L1 batch kernel, and a line
+//! `Polyphase: N of M cases (K with reconfiguration)` counting the cases
+//! under a polyphase refresh policy, K of which also turn ways off (the
+//! path where the cache invalidates lines behind the refresh engine's
+//! back). Exit code is nonzero iff any divergence was found.
 //!
 //! Replay mode: `--replay FILE` re-runs one saved reproducer and reports
 //! whether it still diverges (exit 1) or has been fixed (exit 0).
@@ -20,7 +23,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use esteem_check::fuzz::{case_rng, gen_algo1_case, gen_case};
+use esteem_check::fuzz::{case_rng, gen_algo1_case, gen_case, Op};
 use esteem_check::lockstep::{install_quiet_panic_hook, run_case, runs_l1_replica};
 use esteem_check::minimize::minimize;
 use esteem_check::{oracle_algorithm1, repro};
@@ -92,10 +95,16 @@ fn main() -> ExitCode {
     let mut divergences = 0usize;
     let mut ran = 0u64;
     let mut l1_cases = 0u64;
+    let (mut polyphase, mut polyphase_reconfig) = (0u64, 0u64);
     for i in 0..args.cases {
         let case = gen_case(&mut case_rng(args.seed, i));
         ran += 1;
         l1_cases += u64::from(runs_l1_replica(&case));
+        if case.config.policy.is_polyphase() {
+            polyphase += 1;
+            polyphase_reconfig +=
+                u64::from(case.ops.iter().any(|op| matches!(op, Op::Reconfig { .. })));
+        }
         if let Some(raw) = run_case(&case) {
             divergences += 1;
             eprintln!("case {i} (seed {}): {raw}", args.seed);
@@ -151,6 +160,7 @@ fn main() -> ExitCode {
     }
 
     println!("L1 replica: {l1_cases} of {ran} cases");
+    println!("Polyphase: {polyphase} of {ran} cases ({polyphase_reconfig} with reconfiguration)");
     if divergences == 0 {
         println!(
             "esteem-check: {} cases (seed {}), zero divergences",

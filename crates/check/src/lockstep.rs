@@ -4,10 +4,12 @@
 //! The harness drives `SetAssocCache` + `RefreshEngine` exactly the way
 //! `esteem_core::System` does: demand accesses are reported to the refresh
 //! engine via `on_access`, reconfigurations go through
-//! `set_module_active_ways` (turned-off lines are *not* unscheduled — the
-//! lazy scheduler drops them at drain time, matching the simulator), and
-//! the engine is advanced to the current cycle at every `Advance` op. After
-//! each advance the *entire* observable state is compared: line states,
+//! `set_module_active_ways` (turned-off lines are *not* reported to the
+//! engine — it finds them on its own at the next advance, matching the
+//! simulator), and the engine is advanced to the current cycle at every
+//! `Advance` op. After each advance the engine materializes the retention
+//! clocks it keeps implicitly ([`RefreshEngine::sync_last_update`]) and
+//! the *entire* observable state is compared: line states,
 //! every lifetime counter, the ATD histograms, the drained per-bank refresh
 //! windows, and the eq. 2–8 energy identities evaluated over both sides'
 //! counters. A panic out of the optimized stack (e.g. a promoted
@@ -400,6 +402,7 @@ fn advance_and_compare(h: &mut Harness, at: usize) -> Option<Divergence> {
         return Some(d);
     }
     let rep = h.engine.advance(&mut h.cache, h.now);
+    h.engine.sync_last_update(&mut h.cache);
     let (ora_r, ora_i) = h.oracle.advance_refresh(h.now);
     diff!(at, "advance.refreshes", ora_r, rep.refreshes);
     diff!(at, "advance.invalidations", ora_i, rep.invalidations);

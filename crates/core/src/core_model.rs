@@ -27,10 +27,8 @@ pub const CYCLE_FP_ONE: u64 = 1 << CYCLE_FP_SHIFT;
 #[derive(Debug, Clone)]
 pub struct CoreState {
     pub id: u32,
-    /// Workload stream + private L1D + prefetched access block. Wrapped in
-    /// an `Option` only so the simulator can move it onto a worker thread
-    /// for the refill barrier; it is `Some` at every observation point.
-    front: Option<FrontEnd>,
+    /// Workload stream + private L1D + prefetched access block.
+    front: FrontEnd,
     /// Local clock in fixed-point units of 2^-20 cycles
     /// (see [`CYCLE_FP_SHIFT`]).
     pub cycles_fp: u64,
@@ -65,11 +63,6 @@ pub struct CoreState {
 /// running the L1 ahead of the core's clock is unobservable — every
 /// externally visible number is identical to the one-access-at-a-time
 /// path (pinned by the golden-report and determinism tests).
-///
-/// The front end is self-contained (stream RNG + L1 state + buffers), so
-/// the simulator can `take` it onto a worker thread for the refill and
-/// merge it back at the barrier with bit-identical results at any thread
-/// count.
 #[derive(Debug, Clone)]
 pub struct FrontEnd {
     stream: AccessStream,
@@ -156,7 +149,7 @@ impl CoreState {
     ) -> Self {
         Self {
             id,
-            front: Some(FrontEnd::new(AccessStream::new(profile, id, seed), l1d)),
+            front: FrontEnd::new(AccessStream::new(profile, id, seed), l1d),
             cycles_fp: 0,
             instructions: 0,
             instrs_at_warmup: None,
@@ -209,12 +202,7 @@ impl CoreState {
     /// simulator drives cores exclusively through the batched front end.
     #[inline]
     pub fn fetch_bundle(&mut self) -> Bundle {
-        let b = self
-            .front
-            .as_mut()
-            .expect("front-end present")
-            .stream
-            .next_bundle();
+        let b = self.front.stream.next_bundle();
         self.cycles_fp += u64::from(b.instrs) * self.cpi_fp;
         self.instructions += u64::from(b.instrs);
         b
@@ -226,7 +214,7 @@ impl CoreState {
     /// ahead of the core's clock never shows up in any counter).
     #[inline]
     pub fn next_access(&mut self) -> (Bundle, L1Rec) {
-        let fe = self.front.as_mut().expect("front-end present");
+        let fe = &mut self.front;
         if fe.cursor >= fe.enc.len() {
             // The quantum outran the buffered reserve (or the caller
             // skipped [`Self::configure_block`]): refill inline. The batch
@@ -267,7 +255,7 @@ impl CoreState {
     /// path did.
     #[inline]
     pub fn run_hits(&mut self, qend_fp: u64, single: bool) -> Option<(Bundle, L1Rec)> {
-        let fe = self.front.as_mut().expect("front-end present");
+        let fe = &mut self.front;
         loop {
             if self.cycles_fp >= qend_fp || (single && self.cycles_at_target.is_some()) {
                 return None;
@@ -314,7 +302,7 @@ impl CoreState {
     /// [`L1Rec::has_writeback`] set (the simulator's miss path).
     #[inline]
     pub fn pop_writeback(&mut self) -> u64 {
-        let fe = self.front.as_mut().expect("front-end present");
+        let fe = &mut self.front;
         let wb = fe.wbs[fe.wb_cursor];
         fe.wb_cursor += 1;
         wb
@@ -326,7 +314,7 @@ impl CoreState {
     /// refill with identical content), and each top-up generates a few
     /// thousand bundles to amortise the batch-kernel entry.
     pub fn configure_block(&mut self, quantum_cycles: u64) {
-        let fe = self.front.as_mut().expect("front-end present");
+        let fe = &mut self.front;
         // Upper bound on one quantum's bundle consumption (a bundle
         // carries >= 1 instruction and stalls only lengthen a quantum).
         let per_quantum = (quantum_cycles << CYCLE_FP_SHIFT) / self.cpi_fp + 2;
@@ -334,39 +322,16 @@ impl CoreState {
         fe.target = fe.reserve + 4096;
     }
 
-    /// Whether the prefetch buffer has dropped below its quantum reserve.
-    #[inline]
-    pub fn front_needs_top_up(&self) -> bool {
-        let fe = self.front.as_ref().expect("front-end present");
-        fe.buffered() < fe.reserve
-    }
-
     /// Refills the prefetch buffer in place (no-op while it still holds
     /// the quantum reserve).
     pub fn top_up_front(&mut self) {
-        self.front.as_mut().expect("front-end present").top_up();
-    }
-
-    /// Detaches the front end (for a worker-thread refill). The core must
-    /// not execute or be sampled until [`Self::put_front`] restores it.
-    pub fn take_front(&mut self) -> FrontEnd {
-        self.front.take().expect("front-end present")
-    }
-
-    pub fn put_front(&mut self, fe: FrontEnd) {
-        debug_assert!(self.front.is_none(), "front-end already present");
-        self.front = Some(fe);
+        self.front.top_up();
     }
 
     /// The core's private L1D.
     #[inline]
     pub fn l1d(&self) -> &SetAssocCache {
-        &self.front.as_ref().expect("front-end present").l1d
-    }
-
-    #[inline]
-    pub fn l1d_mut(&mut self) -> &mut SetAssocCache {
-        &mut self.front.as_mut().expect("front-end present").l1d
+        &self.front.l1d
     }
 
     /// Charges a memory stall of `latency` raw cycles, applying the
@@ -401,11 +366,7 @@ impl CoreState {
     }
 
     pub fn profile(&self) -> &BenchmarkProfile {
-        self.front
-            .as_ref()
-            .expect("front-end present")
-            .stream
-            .profile()
+        self.front.stream.profile()
     }
 }
 

@@ -1,12 +1,9 @@
 //! The multicore system simulator.
 
-use std::sync::{Arc, Mutex};
-
 use esteem_cache::{AccessOutcome, L1Rec, SetAssocCache};
 use esteem_edram::{BankContention, RefreshEngine};
 use esteem_energy::{EnergyBreakdown, EnergyInputs, EnergyParams};
 use esteem_mem::MainMemory;
-use esteem_par::WorkerPool;
 use esteem_stats::{
     Counter, IntervalObserver, IntervalSample, StatsReading, StatsRegistry, StatsSource,
     TimeWeighted,
@@ -16,7 +13,7 @@ use esteem_workloads::{BenchmarkProfile, Bundle};
 
 use crate::config::SystemConfig;
 use crate::controller::{self, CacheController, IntervalCtx};
-use crate::core_model::{CoreState, FrontEnd, CYCLE_FP_SHIFT};
+use crate::core_model::{CoreState, CYCLE_FP_SHIFT};
 use crate::report::{CoreReport, SimReport};
 
 /// Deterministic trace-driven multicore simulator.
@@ -80,11 +77,6 @@ pub struct Simulator {
     /// modelled wait is constant within a contention window, so deferring
     /// the counting is byte-identical to per-access recording.
     bank_counts: Vec<u64>,
-    /// Worker pool for the threaded front-end refill (`--threads N`);
-    /// `None` runs refills inline on the simulation thread.
-    pool: Option<WorkerPool>,
-    /// One hand-off slot per core for refilled front ends.
-    front_slots: Vec<Arc<Mutex<Option<FrontEnd>>>>,
     /// Warm-up reading and measured-region delta handling.
     registry: StatsRegistry,
     /// Trace tap (disabled by default; see [`Simulator::with_tracer`]).
@@ -156,8 +148,6 @@ impl Simulator {
             refresh_feed: Vec::new(),
             feed_refresh,
             bank_counts,
-            pool: None,
-            front_slots: Vec::new(),
             registry: StatsRegistry::new(),
             tracer: Tracer::off(),
             observer: None,
@@ -174,27 +164,11 @@ impl Simulator {
         Self::new(cfg, std::slice::from_ref(profile), &label)
     }
 
-    /// Spreads the per-quantum front-end refills (workload generation +
-    /// L1 batch kernel) over `threads` worker threads (builder style).
-    /// Each front end is self-contained core-local state and the merge
-    /// happens at a barrier before any core executes, so reports are
-    /// byte-identical at any thread count (pinned by a harness test).
-    /// `threads <= 1` keeps everything on the simulation thread.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        if threads > 1 && self.cores.len() > 1 {
-            self.pool = Some(WorkerPool::new(
-                threads.min(self.cores.len()),
-                self.cores.len(),
-            ));
-            self.front_slots = self
-                .cores
-                .iter()
-                .map(|_| Arc::new(Mutex::new(None)))
-                .collect();
-        } else {
-            self.pool = None;
-            self.front_slots = Vec::new();
-        }
+    /// Accepted for source compatibility and ignored: a run refills its
+    /// front ends inline on the simulation thread (a run has at most two
+    /// cores, and a per-quantum hand-off to worker threads cost more than
+    /// the refill itself). Parallelism lives across runs instead.
+    pub fn with_threads(self, _threads: usize) -> Self {
         self
     }
 
@@ -303,44 +277,12 @@ impl Simulator {
         self.cores[i].note_progress();
     }
 
-    /// Tops up every core's front end at a quantum start — inline, or
-    /// spread over the worker pool with a barrier before any core
-    /// executes. Each front end is pure core-local state, so the merge is
-    /// deterministic regardless of worker scheduling.
+    /// Tops up every core's front end (workload generation + L1 batch
+    /// kernel) at a quantum start.
     fn refill_fronts(&mut self) {
         prof_span!(self.tracer, "block.refill");
-        let Some(pool) = &self.pool else {
-            for core in &mut self.cores {
-                core.top_up_front();
-            }
-            return;
-        };
-        let mut outstanding = false;
-        for (i, core) in self.cores.iter_mut().enumerate() {
-            if core.front_needs_top_up() {
-                let mut fe = core.take_front();
-                let slot = Arc::clone(&self.front_slots[i]);
-                pool.submit(Box::new(move || {
-                    fe.top_up();
-                    *slot.lock().expect("front slot poisoned") = Some(fe);
-                }))
-                .expect("refill pool rejected a job");
-                outstanding = true;
-            }
-        }
-        if outstanding {
-            prof_span!(self.tracer, "block.barrier");
-            pool.wait_idle();
-            assert_eq!(pool.panics(), 0, "front-end refill worker panicked");
-            for (i, core) in self.cores.iter_mut().enumerate() {
-                if let Some(fe) = self.front_slots[i]
-                    .lock()
-                    .expect("front slot poisoned")
-                    .take()
-                {
-                    core.put_front(fe);
-                }
-            }
+        for core in &mut self.cores {
+            core.top_up_front();
         }
     }
 
@@ -492,9 +434,7 @@ impl Simulator {
         let single = self.cores.len() == 1;
         while self.cores.iter().any(|c| !c.reached_target()) {
             // Refill every front end up front: the reserve bounds one
-            // quantum's consumption, so cores never refill mid-quantum —
-            // which is what lets the refills run on worker threads with a
-            // single barrier and still merge deterministically.
+            // quantum's consumption, so cores rarely refill mid-quantum.
             self.refill_fronts();
             let qend = self.clock + self.cfg.quantum_cycles;
             // Quantum boundary in fixed-point units: the inner loop is a

@@ -3,8 +3,24 @@
 //! The engine is advanced to the current cycle once per simulation quantum
 //! (the system simulator's outer loop). Between advances, the simulator
 //! reports every charge-restoring demand event via [`RefreshEngine::on_access`]
-//! and every invalidation via [`RefreshEngine::on_invalidate`] so the
-//! polyphase schedule stays consistent with the cache contents.
+//! (or [`RefreshEngine::on_access_batch`]) so the polyphase schedule
+//! stays consistent with the cache contents.
+//!
+//! Polyphase-valid (RPV) keeps lines that were refreshed and not touched
+//! since in per-phase, per-bank *steady rows* instead of walking them
+//! every period (see [`crate::scheduler`]), so a phase boundary costs
+//! O(banks) plus one visit per line touched since its last refresh. Two
+//! consequences for callers:
+//!
+//! * Lines the cache invalidates on its own (way turn-off,
+//!   `invalidate_line`) leave their rows at the next `advance`, which
+//!   notices them through the cache's monotone
+//!   [`SetAssocCache::invalidated_lines`] counter and sweeps the steady
+//!   lines once. (A queued line needs no such help: its visit finds it
+//!   invalid and drops it.)
+//! * A steady line's refreshes do not write its `last_update`. Readers of
+//!   retention clocks call [`RefreshEngine::sync_last_update`] first; no
+//!   report reads them.
 //!
 //! Each bank refreshes one line per cycle (pipelined, paper §6.1), so a
 //! refresh op costs the bank exactly one cycle of availability; the counts
@@ -35,6 +51,9 @@ pub struct RefreshEngine {
     sched: Option<PolyphaseScheduler>,
     /// Retention-variation model (multi-periodic policy only).
     variation: RetentionVariation,
+    /// The cache's [`SetAssocCache::invalidated_lines`] at the last
+    /// steady-row sweep (polyphase-valid only).
+    seen_invalidations: u64,
     /// Next period boundary (periodic policies).
     next_period_end: u64,
     /// Per-bank refresh ops since the last [`Self::drain_bank_refreshes`].
@@ -49,15 +68,17 @@ pub struct RefreshEngine {
 impl RefreshEngine {
     pub fn new(policy: RefreshPolicy, retention: RetentionSpec, cache: &SetAssocCache) -> Self {
         let g = *cache.geometry();
-        let sched = if policy.is_polyphase() {
-            Some(PolyphaseScheduler::new(
-                retention.period_cycles,
-                policy.phases(),
-                g.total_slots(),
-            ))
-        } else {
-            None
-        };
+        let sched = policy.is_polyphase().then(|| {
+            let s =
+                PolyphaseScheduler::new(retention.period_cycles, policy.phases(), g.total_slots());
+            // RPD's clean lines drop at their due boundary, so only RPV
+            // can count untouched lines in rows instead of visiting them.
+            if matches!(policy, RefreshPolicy::PolyphaseValid { .. }) {
+                s.with_steady_rows(g.ways, g.banks)
+            } else {
+                s
+            }
+        });
         let first_period = match policy {
             RefreshPolicy::MultiPeriodic { periods, .. } => {
                 retention.period_cycles * u64::from(periods.max(1))
@@ -70,6 +91,7 @@ impl RefreshEngine {
             ways: g.ways,
             sched,
             variation: RetentionVariation::default(),
+            seen_invalidations: cache.invalidated_lines(),
             next_period_end: first_period,
             bank_window: vec![0; g.banks as usize],
             total_refreshes: 0,
@@ -86,11 +108,6 @@ impl RefreshEngine {
     pub fn with_variation(mut self, variation: RetentionVariation) -> Self {
         self.variation = variation;
         self
-    }
-
-    #[inline]
-    fn line_id(&self, set: u32, way: u8) -> u32 {
-        set * u32::from(self.ways) + u32::from(way)
     }
 
     /// Reports a demand access (hit or fill): reads and writes restore the
@@ -129,16 +146,6 @@ impl RefreshEngine {
         for (o, cycle) in events {
             let id = o.set * u32::from(self.ways) + u32::from(o.way);
             sched.touch(id, *cycle);
-        }
-    }
-
-    /// Reports an invalidation performed outside the engine (way turn-off
-    /// during reconfiguration): the line no longer needs refreshing.
-    #[inline]
-    pub fn on_invalidate(&mut self, set: u32, way: u8) {
-        let id = self.line_id(set, way);
-        if let Some(sched) = &mut self.sched {
-            sched.unschedule(id);
         }
     }
 
@@ -206,17 +213,31 @@ impl RefreshEngine {
             RefreshPolicy::PolyphaseValid { .. } => {
                 let sched = self.sched.as_mut().expect("polyphase has a scheduler");
                 let split = split_line(self.ways);
-                let g = *cache.geometry();
-                let banks = &mut self.bank_window;
-                sched.advance(to_cycle, |line, boundary| {
-                    let (set, way) = split(line);
-                    if !cache.refresh_line(set, way, boundary) {
-                        return DueAction::Drop;
-                    }
-                    banks[g.bank_of(set) as usize] += 1;
-                    report.refreshes += 1;
-                    DueAction::Refreshed
-                });
+                // Steady lines the cache invalidated on its own since the
+                // last advance must leave their rows before rows count.
+                if cache.invalidated_lines() != self.seen_invalidations {
+                    self.seen_invalidations = cache.invalidated_lines();
+                    sched.retain_steady(|line| {
+                        let (set, way) = split(line);
+                        cache.line(set, way).valid
+                    });
+                }
+                report.refreshes +=
+                    sched.advance_steady(to_cycle, &mut self.bank_window, |line, boundary| {
+                        let (set, way) = split(line);
+                        cache.refresh_line(set, way, boundary)
+                    });
+                #[cfg(feature = "strict-invariants")]
+                {
+                    // Rows count exactly the steady lines, all valid.
+                    let mut steady = 0u64;
+                    sched.for_each_steady(|line, _| {
+                        let (set, way) = split(line);
+                        assert!(cache.line(set, way).valid, "steady line {line} is invalid");
+                        steady += 1;
+                    });
+                    assert_eq!(steady, sched.steady_lines(), "steady-row census drift");
+                }
             }
             RefreshPolicy::PolyphaseDirty { .. } => {
                 let sched = self.sched.as_mut().expect("polyphase has a scheduler");
@@ -275,11 +296,29 @@ impl RefreshEngine {
         self.bank_window.fill(0);
     }
 
-    /// Lines still queued in the polyphase scheduler (zero for periodic
-    /// policies, which keep no queue). Interval-boundary observability:
-    /// a growing queue is the signature of a refresh storm building up.
+    /// Lines queued for an individual visit in the polyphase scheduler,
+    /// stale entries included (zero for periodic policies, which keep no
+    /// queue). RPV's steady lines wait in rows, not in the queue, and are
+    /// not counted. Interval-boundary observability: a growing queue is
+    /// the signature of a refresh storm building up.
     pub fn queued_lines(&self) -> u64 {
         self.sched.as_ref().map_or(0, |s| s.queued_entries() as u64)
+    }
+
+    /// Writes the retention clock of every RPV steady line into `cache`:
+    /// the latest boundary of its row, which is what a per-line refresh
+    /// walk would have stored. Call it before reading `last_update`
+    /// (oracle comparisons, retention-safety tests); a no-op for every
+    /// other policy.
+    pub fn sync_last_update(&self, cache: &mut SetAssocCache) {
+        let Some(sched) = &self.sched else {
+            return;
+        };
+        let split = split_line(self.ways);
+        sched.for_each_steady(|line, at| {
+            let (set, way) = split(line);
+            cache.refresh_line(set, way, at);
+        });
     }
 
     /// Lifetime refresh count (`N_R` deltas are taken from this).
@@ -452,8 +491,11 @@ mod tests {
         e.on_access(&o, 0);
         let r = e.advance(&mut c, 5000);
         assert_eq!(r.refreshes, 5);
-        // last_update advanced by the refreshes.
-        assert!(c.line(o.set, o.way).last_update >= 4000);
+        // The refresh at 1000 made the line steady: later refreshes
+        // (2000..5000) come from its row and leave its clock implicit.
+        assert_eq!(c.line(o.set, o.way).last_update, 1000);
+        e.sync_last_update(&mut c);
+        assert_eq!(c.line(o.set, o.way).last_update, 5000);
     }
 
     #[test]
@@ -496,9 +538,59 @@ mod tests {
         let mut e = RefreshEngine::new(RefreshPolicy::RPV, ret(1000), &c);
         let o = c.access(c.geometry().block_of(3, 9), false, 0);
         e.on_access(&o, 0);
+        // The engine is not told; the line's visit finds it invalid.
         c.invalidate_line(o.set, o.way);
-        e.on_invalidate(o.set, o.way);
         assert_eq!(e.advance(&mut c, 10_000).refreshes, 0);
+        assert_eq!(e.queued_lines(), 0);
+    }
+
+    /// Way turn-off and `invalidate_line` do not tell the engine; a
+    /// steady line they invalidate must still stop being refreshed.
+    #[test]
+    fn silent_invalidation_of_steady_lines_stops_refreshes() {
+        let mut c = cache();
+        let mut e = RefreshEngine::new(RefreshPolicy::RPV, ret(1000), &c);
+        // Set 9 is in module 0 (16 sets per module); fill all 4 ways,
+        // plus one line in set 40 (module 2).
+        let mut outs: Vec<_> = (1..=4u64)
+            .map(|t| c.access(c.geometry().block_of(t, 9), false, 0))
+            .collect();
+        outs.push(c.access(c.geometry().block_of(1, 40), false, 0));
+        for o in &outs {
+            e.on_access(o, 0);
+        }
+        // The refresh at 1000 makes all five lines steady.
+        assert_eq!(e.advance(&mut c, 1000).refreshes, 5);
+        assert_eq!(e.queued_lines(), 0, "steady lines wait in rows");
+        // Shrink module 0 to one way: three of set 9's lines go.
+        let out = c.set_module_active_ways(0, 1, 1500);
+        assert_eq!(out.discards, 3);
+        assert_eq!(e.advance(&mut c, 2000).refreshes, 2);
+        // Then drop the set-40 line directly.
+        c.invalidate_line(outs[4].set, outs[4].way);
+        assert_eq!(e.advance(&mut c, 3000).refreshes, 1);
+        let banks = e.drain_bank_refreshes();
+        assert_eq!(banks.iter().sum::<u64>(), 8);
+    }
+
+    /// A touch takes a steady line out of its row; it is refreshed one
+    /// retention period after the touch's phase, then rejoins a row.
+    #[test]
+    fn touch_moves_steady_line_to_its_new_phase() {
+        let mut c = cache();
+        let mut e = RefreshEngine::new(RefreshPolicy::RPV, ret(1000), &c);
+        let b = c.geometry().block_of(3, 5);
+        let o = c.access(b, false, 0);
+        e.on_access(&o, 0);
+        assert_eq!(e.advance(&mut c, 1000).refreshes, 1);
+        // Touch in phase [1500, 1750): next due 2500, not 2000.
+        let o = c.access(b, false, 1600);
+        e.on_access(&o, 1600);
+        assert_eq!(e.advance(&mut c, 2499).refreshes, 0);
+        assert_eq!(e.advance(&mut c, 2500).refreshes, 1);
+        assert_eq!(e.advance(&mut c, 4500).refreshes, 2);
+        e.sync_last_update(&mut c);
+        assert_eq!(c.line(o.set, o.way).last_update, 4500);
     }
 
     #[test]

@@ -19,6 +19,20 @@
 //! retention period (`ring_len = (2 * phases + 2).next_power_of_two()`;
 //! rounding up to a power of two makes the bucket index a mask).
 //!
+//! **Steady rows (polyphase-valid only).** A line refreshed at boundary
+//! `bq` and neither touched nor invalidated since is due again at every
+//! `bq + k * phases`, so walking it once per period buys nothing. With
+//! [`PolyphaseScheduler::with_steady_rows`], such a *steady* line leaves
+//! the calendar: it is counted in `rows[bq % phases][bank]` instead, and
+//! [`PolyphaseScheduler::advance_steady`] adds the whole row to the
+//! refresh totals at each boundary — O(banks) — and walks only the lines
+//! touched since their last refresh. A touch, or a
+//! [`PolyphaseScheduler::retain_steady`] sweep after invalidations, takes
+//! a steady line back out of its row. The state lives in the `due` array:
+//! a queued line's due phase index is always `>= phases` (a touch adds
+//! `phases` to a non-negative quotient), so an entry `r < phases` means
+//! "steady in row `r`" with no extra per-line storage.
+//!
 //! `touch` sits on the L2 access hot path (every hit and fill of a
 //! polyphase technique lands here), so the phase-floor computation avoids
 //! hardware division: the phase length is inverted once at construction
@@ -40,6 +54,30 @@ pub enum DueAction {
 
 /// Sentinel meaning "not scheduled".
 const UNSCHEDULED: u32 = u32::MAX;
+
+/// Steady-line populations, one row of per-bank counts per phase residue
+/// (see the module docs).
+#[derive(Debug, Clone)]
+struct SteadyRows {
+    /// `counts[r * banks + b]`: steady lines of bank `b` in row `r`.
+    counts: Vec<u64>,
+    banks: usize,
+    /// Line ids are `set * ways + way`; banks stripe sets.
+    ways: u32,
+    bank_mask: u32,
+}
+
+impl SteadyRows {
+    #[inline]
+    fn slot(&self, row: u32, line: u32) -> usize {
+        let set = if self.ways.is_power_of_two() {
+            line >> self.ways.trailing_zeros()
+        } else {
+            line / self.ways
+        };
+        row as usize * self.banks + (set & self.bank_mask) as usize
+    }
+}
 
 /// How many entries ahead the drain passes software-prefetch. Far enough
 /// to cover an L3/memory load, near enough that the touched lines are
@@ -107,6 +145,8 @@ pub struct PolyphaseScheduler {
     next_boundary: u64,
     /// `next_boundary / phase_len`, maintained incrementally.
     next_boundary_quot: u64,
+    /// Steady-line rows, when enabled ([`Self::with_steady_rows`]).
+    steady: Option<SteadyRows>,
 }
 
 impl PolyphaseScheduler {
@@ -127,7 +167,31 @@ impl PolyphaseScheduler {
             due: vec![UNSCHEDULED; total_lines as usize],
             next_boundary: phase_len,
             next_boundary_quot: 1,
+            steady: None,
         }
+    }
+
+    /// Enables steady rows for a cache of `ways`-way sets striped over
+    /// `banks` (a power of two) banks; line ids are `set * ways + way`.
+    /// Only [`Self::advance_steady`] creates steady lines.
+    pub fn with_steady_rows(mut self, ways: u8, banks: u8) -> Self {
+        assert!(banks.is_power_of_two(), "banks must be a power of two");
+        let banks = usize::from(banks);
+        self.steady = Some(SteadyRows {
+            counts: vec![0; self.phases as usize * banks],
+            banks,
+            ways: u32::from(ways),
+            bank_mask: banks as u32 - 1,
+        });
+        self
+    }
+
+    /// Takes `line` out of steady row `row`.
+    #[inline]
+    fn leave_row(&mut self, line: u32, row: u32) {
+        let rows = self.steady.as_mut().expect("steady line without rows");
+        let i = rows.slot(row, line);
+        rows.counts[i] -= 1;
     }
 
     /// Bucket of a boundary given its phase index (`boundary / phase_len`).
@@ -157,26 +221,118 @@ impl PolyphaseScheduler {
             due_q >= self.next_boundary_quot,
             "touch at cycle {cycle} schedules an already-drained boundary"
         );
-        if self.due[line as usize] == due_q as u32 {
+        let d = self.due[line as usize];
+        if d == due_q as u32 {
             return; // re-touched within the same phase: already queued
+        }
+        if u64::from(d) < self.phases {
+            self.leave_row(line, d);
         }
         self.due[line as usize] = due_q as u32;
         let b = self.bucket_of_quot(due_q);
         self.ring[b].push(line);
     }
 
-    /// Removes a line from consideration (it was invalidated). Lazy: the
-    /// bucket entry stays and is filtered at drain time.
-    pub fn unschedule(&mut self, line: u32) {
-        self.due[line as usize] = UNSCHEDULED;
-    }
-
-    /// Currently scheduled due cycle of a line (for tests/invariants).
+    /// Currently scheduled due cycle of a line (for tests/invariants); for
+    /// a steady line, the next boundary of its row.
     pub fn due_of(&self, line: u32) -> Option<u64> {
         match self.due[line as usize] {
             UNSCHEDULED => None,
+            r if u64::from(r) < self.phases => {
+                let nq = self.next_boundary_quot;
+                let ahead = (u64::from(r) + self.phases - nq % self.phases) % self.phases;
+                Some((nq + ahead) * self.phase_len)
+            }
             d => Some(u64::from(d) * self.phase_len),
         }
+    }
+
+    /// Calls `f(line, cycle)` for every steady line with the boundary of
+    /// its latest refresh: the latest processed boundary of its row. This
+    /// is the retention clock the per-line walk would have written.
+    pub fn for_each_steady(&self, mut f: impl FnMut(u32, u64)) {
+        // Steady lines exist only once a boundary `>= phases` has been
+        // processed, so `last >= phases > r` below.
+        let last = self.next_boundary_quot - 1;
+        for (line, &d) in self.due.iter().enumerate() {
+            let r = u64::from(d);
+            if r < self.phases {
+                let q = last - (last - r) % self.phases;
+                f(line as u32, q * self.phase_len);
+            }
+        }
+    }
+
+    /// Takes every steady line for which `keep` is false out of its row
+    /// and unschedules it — one pass over all lines, for invalidations
+    /// that happened outside the scheduler.
+    pub fn retain_steady(&mut self, mut keep: impl FnMut(u32) -> bool) {
+        for line in 0..self.due.len() as u32 {
+            let d = self.due[line as usize];
+            if u64::from(d) < self.phases && !keep(line) {
+                self.leave_row(line, d);
+                self.due[line as usize] = UNSCHEDULED;
+            }
+        }
+    }
+
+    /// Walks the bucket of boundary `bq`, calling `visit(line)` for every
+    /// line genuinely due there; `visit` returns the line's new `due`
+    /// entry, which is re-queued if it is a future boundary.
+    fn drain_bucket(&mut self, bq: u64, mut visit: impl FnMut(u32) -> u32) {
+        let b = self.bucket_of_quot(bq);
+        // Swap the bucket out (not `mem::take`, which would free its
+        // allocation: swapping back afterwards keeps the bucket's grown
+        // capacity across ring revolutions instead of re-growing from
+        // zero every period).
+        let mut entries = Vec::new();
+        std::mem::swap(&mut entries, &mut self.ring[b]);
+        let mut kept = 0usize;
+        for i in 0..entries.len() {
+            // The due-cycle lookups hit `due` in schedule order —
+            // random in memory; pull the entry a few iterations ahead
+            // into cache while this one resolves.
+            if let Some(&ahead) = entries.get(i + DRAIN_LOOKAHEAD) {
+                esteem_cache::prefetch_read(&self.due[ahead as usize]);
+            }
+            let line = entries[i];
+            let d = self.due[line as usize];
+            if d != bq as u32 {
+                // Not due at this boundary. Usually a stale entry
+                // (re-touched into another bucket, dropped, or now
+                // steady) to drop — but a line touched far enough ahead of
+                // the drain point wraps the ring and lands in this bucket
+                // for a *future* revolution; discarding it would lose its
+                // refresh entirely (found by the differential checker:
+                // repros div-0-{1,4,9}). Keep exactly the queued entries
+                // whose authoritative due still maps here.
+                if d != UNSCHEDULED
+                    && u64::from(d) >= self.phases
+                    && self.bucket_of_quot(u64::from(d)) == b
+                {
+                    strict_assert!(
+                        u64::from(d) > bq,
+                        "entry for a past boundary survived its drain"
+                    );
+                    entries[kept] = line;
+                    kept += 1;
+                }
+                continue;
+            }
+            let nd = visit(line);
+            self.due[line as usize] = nd;
+            if nd != UNSCHEDULED && u64::from(nd) >= self.phases {
+                // A re-queue is one retention period (`phases`
+                // boundaries) ahead; `phases < ring_len`, so never bucket
+                // `b` itself — the drained bucket stays empty while we
+                // iterate.
+                let nb = self.bucket_of_quot(u64::from(nd));
+                self.ring[nb].push(line);
+            }
+        }
+        strict_assert!(self.ring[b].is_empty(), "drained bucket repopulated");
+        entries.truncate(kept);
+        std::mem::swap(&mut entries, &mut self.ring[b]);
     }
 
     /// Processes all phase boundaries `<= to`, calling `on_due(line,
@@ -184,71 +340,69 @@ impl PolyphaseScheduler {
     /// reschedules the line one retention period later; `Drop` unschedules.
     pub fn advance(&mut self, to: u64, mut on_due: impl FnMut(u32, u64) -> DueAction) {
         while self.next_boundary <= to {
-            let boundary = self.next_boundary;
-            let bq = self.next_boundary_quot;
-            let b = self.bucket_of_quot(bq);
-            // Swap the bucket out (not `mem::take`, which would free its
-            // allocation: swapping back afterwards keeps the bucket's grown
-            // capacity across ring revolutions instead of re-growing from
-            // zero every period).
-            let mut entries = Vec::new();
-            std::mem::swap(&mut entries, &mut self.ring[b]);
-            let mut kept = 0usize;
-            for i in 0..entries.len() {
-                // The due-cycle lookups hit `due` in schedule order —
-                // random in memory; pull the entry a few iterations ahead
-                // into cache while this one resolves.
-                if let Some(&ahead) = entries.get(i + DRAIN_LOOKAHEAD) {
-                    esteem_cache::prefetch_read(&self.due[ahead as usize]);
-                }
-                let line = entries[i];
-                let d = self.due[line as usize];
-                if d != bq as u32 {
-                    // Not due at this boundary. Usually a stale entry
-                    // (re-touched into another bucket, or unscheduled) to
-                    // drop — but a line touched far enough ahead of the
-                    // drain point wraps the ring and lands in this bucket
-                    // for a *future* revolution; discarding it would lose
-                    // its refresh entirely (found by the differential
-                    // checker: repros div-0-{1,4,9}). Keep exactly the
-                    // entries whose authoritative due still maps here.
-                    if d != UNSCHEDULED && self.bucket_of_quot(u64::from(d)) == b {
-                        strict_assert!(
-                            u64::from(d) > bq,
-                            "entry for a past boundary survived its drain"
-                        );
-                        entries[kept] = line;
-                        kept += 1;
-                    }
-                    continue;
-                }
-                match on_due(line, boundary) {
-                    DueAction::Refreshed => {
-                        self.due[line as usize] = (bq + self.phases) as u32;
-                        // One retention period is `phases` boundaries ahead;
-                        // `phases < ring_len`, so never bucket `b` itself —
-                        // the drained bucket stays empty while we iterate.
-                        let nb = self.bucket_of_quot(bq + self.phases);
-                        self.ring[nb].push(line);
-                    }
-                    DueAction::Drop => {
-                        self.due[line as usize] = UNSCHEDULED;
-                    }
-                }
-            }
-            strict_assert!(self.ring[b].is_empty(), "drained bucket repopulated");
-            entries.truncate(kept);
-            std::mem::swap(&mut entries, &mut self.ring[b]);
+            let (boundary, bq) = (self.next_boundary, self.next_boundary_quot);
+            let requeue = (bq + self.phases) as u32;
+            self.drain_bucket(bq, |line| match on_due(line, boundary) {
+                DueAction::Refreshed => requeue,
+                DueAction::Drop => UNSCHEDULED,
+            });
             self.next_boundary += self.phase_len;
             self.next_boundary_quot += 1;
         }
+    }
+
+    /// Steady-row form of [`Self::advance`] (requires
+    /// [`Self::with_steady_rows`]): at each boundary `<= to`, adds the
+    /// boundary's steady row to `bank_window`, then calls `refresh(line,
+    /// boundary)` for every queued line due there. A line it refreshes
+    /// (`true`) joins the row and is counted in `bank_window` too; one it
+    /// cannot (`false`: invalid) is unscheduled. Returns the number of
+    /// refreshes. Steady lines must all still need refreshing: callers
+    /// take invalidated ones out with [`Self::retain_steady`] first.
+    pub fn advance_steady(
+        &mut self,
+        to: u64,
+        bank_window: &mut [u64],
+        mut refresh: impl FnMut(u32, u64) -> bool,
+    ) -> u64 {
+        let mut rows = self.steady.take().expect("steady rows enabled");
+        let mut total = 0u64;
+        while self.next_boundary <= to {
+            let (boundary, bq) = (self.next_boundary, self.next_boundary_quot);
+            let row = (bq % self.phases) as u32;
+            let counts = &rows.counts[row as usize * rows.banks..][..rows.banks];
+            for (w, &n) in bank_window.iter_mut().zip(counts) {
+                *w += n;
+                total += n;
+            }
+            self.drain_bucket(bq, |line| {
+                if !refresh(line, boundary) {
+                    return UNSCHEDULED;
+                }
+                let i = rows.slot(row, line);
+                rows.counts[i] += 1;
+                bank_window[i % rows.banks] += 1;
+                total += 1;
+                row
+            });
+            self.next_boundary += self.phase_len;
+            self.next_boundary_quot += 1;
+        }
+        self.steady = Some(rows);
+        total
+    }
+
+    /// Steady lines in all rows (tests and invariant checks).
+    pub fn steady_lines(&self) -> u64 {
+        self.steady.as_ref().map_or(0, |r| r.counts.iter().sum())
     }
 
     pub fn phase_len(&self) -> u64 {
         self.phase_len
     }
 
-    /// Total queued entries including stale ones (memory watermark, tests).
+    /// Total queued entries including stale ones (memory watermark,
+    /// tests). Steady lines wait in no bucket and are not counted.
     pub fn queued_entries(&self) -> usize {
         self.ring.iter().map(Vec::len).sum()
     }
@@ -307,15 +461,6 @@ mod tests {
     }
 
     #[test]
-    fn unschedule_cancels() {
-        let mut s = PolyphaseScheduler::new(100, 4, 8);
-        s.touch(2, 0);
-        s.unschedule(2);
-        assert!(collect_refreshes(&mut s, 500).is_empty());
-        assert_eq!(s.due_of(2), None);
-    }
-
-    #[test]
     fn drop_action_stops_rescheduling() {
         let mut s = PolyphaseScheduler::new(100, 4, 8);
         s.touch(7, 0);
@@ -325,6 +470,50 @@ mod tests {
             DueAction::Drop
         });
         assert_eq!(calls, 1);
+    }
+
+    /// Advances through the steady-row path with every line valid;
+    /// returns the refresh count and the per-bank window.
+    fn steady_refreshes(s: &mut PolyphaseScheduler, to: u64, banks: usize) -> (u64, Vec<u64>) {
+        let mut window = vec![0; banks];
+        let n = s.advance_steady(to, &mut window, |_, _| true);
+        (n, window)
+    }
+
+    #[test]
+    fn steady_rows_count_untouched_lines_every_period() {
+        // 4 ways, 2 banks: lines 0..4 are set 0 (bank 0), 4..8 set 1.
+        let mut s = PolyphaseScheduler::new(100, 4, 16).with_steady_rows(4, 2);
+        s.touch(1, 10); // due 100 (row 0)
+        s.touch(5, 60); // due 150 (row 2)
+        assert_eq!(steady_refreshes(&mut s, 150, 2), (2, vec![1, 1]));
+        assert_eq!(s.steady_lines(), 2);
+        assert_eq!(s.queued_entries(), 0, "steady lines leave the calendar");
+        assert_eq!(s.due_of(1), Some(200));
+        assert_eq!(s.due_of(5), Some(250));
+        // Three more periods: each line once per period.
+        assert_eq!(steady_refreshes(&mut s, 450, 2), (6, vec![3, 3]));
+        let mut clocks = Vec::new();
+        s.for_each_steady(|line, at| clocks.push((line, at)));
+        assert_eq!(clocks, vec![(1, 400), (5, 450)]);
+    }
+
+    #[test]
+    fn touch_and_retain_leave_steady_rows() {
+        let mut s = PolyphaseScheduler::new(100, 4, 16).with_steady_rows(4, 2);
+        s.touch(1, 0);
+        s.touch(2, 0);
+        s.touch(6, 0);
+        assert_eq!(steady_refreshes(&mut s, 100, 2).0, 3);
+        s.touch(1, 130); // leaves row 0; due 225
+        s.retain_steady(|line| line != 6);
+        assert_eq!(s.steady_lines(), 1);
+        assert_eq!(s.due_of(6), None);
+        assert_eq!(steady_refreshes(&mut s, 200, 2), (1, vec![1, 0]));
+        assert_eq!(steady_refreshes(&mut s, 225, 2), (1, vec![1, 0]));
+        assert_eq!(s.steady_lines(), 2);
+        // Row 0 (line 2) at 300 and 400, row 1 (line 1) at 325.
+        assert_eq!(steady_refreshes(&mut s, 400, 2), (3, vec![3, 0]));
     }
 
     #[test]

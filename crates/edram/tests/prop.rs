@@ -35,6 +35,8 @@ proptest! {
             eng.advance(&mut cache, now);
             let out = cache.access(block, write, now);
             eng.on_access(&out, now);
+            // Steady lines' refreshes leave their clocks implicit.
+            eng.sync_last_update(&mut cache);
             // Check the invariant over all valid lines at this instant.
             // A line is due at phase_floor(last_update) + RETENTION, and
             // the engine may lag by the un-advanced gap; the bound below

@@ -15,9 +15,6 @@
 //!   --warmup <cycles>         warm-up cycles excluded from metrics
 //!                             (default 35M, the paper stand-in; small
 //!                             values make smoke runs cheap)
-//!   --threads <n>             worker threads for the front-end refill
-//!                             (default: ESTEEM_THREADS, else 1; reports
-//!                             are byte-identical at any thread count)
 //!   --json                    print the report as JSON
 //!   --interval-log <file>     stream one JSONL record per interval
 //!   --trace <file>            export a trace: .json -> Chrome trace-event
@@ -29,6 +26,9 @@
 //!                             oldest events drop beyond it)
 //!   --record <file.estr> <N>  record N bundles of the workload's stream
 //! ```
+//!
+//! One run is single-threaded. To run many simulations in parallel, use
+//! `esteem-repro --threads N` or the `esteem-serve` daemon.
 
 use std::io::BufWriter;
 use std::process::ExitCode;
@@ -55,7 +55,6 @@ struct Args {
     ways: u8,
     seed: u64,
     warmup: Option<u64>,
-    threads: usize,
     json: bool,
     interval_log: Option<String>,
     trace: Option<String>,
@@ -81,7 +80,6 @@ impl Default for Args {
             ways: 4,
             seed: 1,
             warmup: None,
-            threads: 0,
             json: false,
             interval_log: None,
             trace: None,
@@ -160,14 +158,6 @@ fn parse() -> Result<Args, String> {
                         .parse()
                         .map_err(|e| format!("{e}"))?,
                 )
-            }
-            "--threads" => {
-                a.threads = next(&mut it, "--threads")?
-                    .parse()
-                    .map_err(|e| format!("{e}"))?;
-                if a.threads == 0 {
-                    return Err("--threads must be positive".into());
-                }
             }
             "--json" => a.json = true,
             "--interval-log" => a.interval_log = Some(next(&mut it, "--interval-log")?),
@@ -293,18 +283,7 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    // `--threads 0` is rejected at parse time, so 0 here means the flag
-    // was absent: fall back to ESTEEM_THREADS (via esteem-par), keeping
-    // serial the default when neither is given. Thread count is pure
-    // throughput knob — the report is byte-identical either way.
-    let threads = if args.threads > 0 {
-        args.threads
-    } else if std::env::var_os("ESTEEM_THREADS").is_some() {
-        esteem_par::default_threads()
-    } else {
-        1
-    };
-    let mut sim = Simulator::new(cfg, &profiles, &label).with_threads(threads);
+    let mut sim = Simulator::new(cfg, &profiles, &label);
     if let Some(path) = &args.interval_log {
         let file = match std::fs::File::create(path) {
             Ok(f) => f,

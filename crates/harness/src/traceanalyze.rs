@@ -99,7 +99,8 @@ pub struct RefreshSummary {
     pub batches: u64,
     pub refreshes: u64,
     pub invalidations: u64,
-    /// Largest polyphase backlog observed after any batch.
+    /// Largest polyphase backlog observed after any batch: lines queued
+    /// for an individual visit, not RPV's steady lines.
     pub max_pending: u64,
     /// Intervals with refresh z-score >= sigma (needs interval samples).
     pub storms: Vec<RefreshStorm>,

@@ -84,6 +84,14 @@ fn sim_rejects_unknown_workload_and_flag() {
     assert_clean_failure(&run_sim(&["--frobnicate", "gamess"]), "unknown flag");
 }
 
+/// A run is single-threaded; the removed refill thread count is an
+/// unknown flag now, not a silently ignored one.
+#[test]
+fn sim_rejects_removed_threads_flag() {
+    let out = run_sim(&["--threads", "2", "gamess"]);
+    assert_clean_failure(&out, "unknown flag --threads");
+}
+
 #[test]
 fn sim_rejects_unparsable_number() {
     let out = run_sim(&["--instructions", "many", "gamess"]);

@@ -1,13 +1,13 @@
 //! End-to-end determinism: figure rows must be bit-identical whether the
-//! sweep runs on one thread or many, and whether reports come from the
-//! run cache or a fresh simulation.
+//! sweep runs its cells on one thread or many, and whether reports come
+//! from the run cache or a fresh simulation.
 
 use std::sync::Mutex;
 
 use esteem_core::{Simulator, Technique};
 use esteem_harness::experiments::figs;
-use esteem_harness::{dual_core_cfg, runcache, single_core_cfg, Scale};
-use esteem_workloads::{benchmark_by_name, mixes::mix_by_acronym};
+use esteem_harness::{runcache, single_core_cfg, Scale};
+use esteem_workloads::benchmark_by_name;
 
 /// The run cache is process-global; serialize the tests that clear it.
 static CACHE_LOCK: Mutex<()> = Mutex::new(());
@@ -24,26 +24,6 @@ fn fig_rows_identical_one_thread_vs_many() {
     // metrics, not just close ones.
     assert_eq!(t1.rows, t4.rows);
     assert_eq!(t1.avg, t4.avg);
-}
-
-/// The simulator's `--threads` knob must never change a report: the
-/// worker-pool refill merges at a barrier before any core executes, so the
-/// serialized report bytes are identical at any thread count.
-#[test]
-fn report_bytes_identical_at_any_thread_count() {
-    // Any dual mix exercises the pool (single-core runs are always serial).
-    let m = mix_by_acronym("GcGa").expect("Table 1 mix");
-    let profiles = [m.a, m.b];
-    let run = |threads: usize| {
-        let cfg = dual_core_cfg(Technique::Rpv, Scale::Bench, 50.0);
-        let report = Simulator::new(cfg, &profiles, "GcGa")
-            .with_threads(threads)
-            .run();
-        serde_json::to_string(&report).unwrap()
-    };
-    let serial = run(1);
-    assert_eq!(serial, run(2), "2 threads changed the report bytes");
-    assert_eq!(serial, run(3), "3 threads changed the report bytes");
 }
 
 #[test]

@@ -42,12 +42,6 @@ pub struct JobSpec {
     /// Part of the fingerprint: runs with different warm-up lengths are
     /// different simulations.
     pub warmup: Option<u64>,
-    /// Worker threads for the simulator's front-end refill. Pure
-    /// throughput knob: reports are byte-identical at any value, so it
-    /// is deliberately *excluded* from the run-cache fingerprint — jobs
-    /// differing only in `threads` coalesce. 0 means serial (the
-    /// default, matching `esteem-sim` without `--threads`).
-    pub threads: usize,
     /// Higher runs first; ties are served fairly across clients.
     pub priority: u8,
     /// Fairness key: the queue round-robins across distinct clients.
@@ -74,7 +68,6 @@ impl Default for JobSpec {
             ways: 4,
             seed: 1,
             warmup: None,
-            threads: 0,
             priority: 1,
             client: "anon".into(),
         }
@@ -106,7 +99,6 @@ impl Serialize for JobSpec {
             m.push(("warmup".into(), warmup.to_value()));
         }
         m.extend([
-            ("threads".into(), self.threads.to_value()),
             ("priority".into(), self.priority.to_value()),
             ("client".into(), Value::Str(self.client.clone())),
         ]);
@@ -129,6 +121,8 @@ const KNOWN_FIELDS: &[&str] = &[
     "ways",
     "seed",
     "warmup",
+    // Accepted and ignored: journals written while the simulator had a
+    // refill thread count store it in every spec.
     "threads",
     "priority",
     "client",
@@ -187,7 +181,7 @@ impl Deserialize for JobSpec {
                 spec.warmup = Some(warmup);
             }
         }
-        opt(m, "threads", &mut spec.threads)?;
+        opt(m, "threads", &mut 0usize)?;
         opt(m, "priority", &mut spec.priority)?;
         opt(m, "client", &mut spec.client)?;
         Ok(spec)
@@ -493,6 +487,25 @@ mod tests {
         let b = short.resolve().unwrap();
         assert_eq!(b.cfg.warmup_cycles, 200_000);
         assert_ne!(a.fingerprint, b.fingerprint);
+    }
+
+    /// Specs stored before the refill thread count was removed carry a
+    /// `threads` key: it still decodes, and it never was part of the
+    /// fingerprint.
+    #[test]
+    fn legacy_threads_key_decodes_with_the_same_fingerprint() {
+        let with: JobSpec =
+            serde_json::from_str("{\"workload\":\"gamess\",\"seed\":2,\"threads\":3}").unwrap();
+        let without: JobSpec =
+            serde_json::from_str("{\"workload\":\"gamess\",\"seed\":2}").unwrap();
+        assert_eq!(with, without);
+        assert_eq!(
+            with.resolve().unwrap().fingerprint,
+            without.resolve().unwrap().fingerprint
+        );
+        let bad = serde_json::from_str::<JobSpec>("{\"workload\":\"gamess\",\"threads\":\"x\"}")
+            .expect_err("a mistyped value is still rejected");
+        assert!(bad.to_string().contains("threads"), "got: {bad}");
     }
 
     #[test]

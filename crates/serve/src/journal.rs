@@ -517,6 +517,31 @@ mod tests {
         assert_eq!(rec.jobs[2].sweep, None);
     }
 
+    /// A submit line as the writer produced it while specs still carried
+    /// the simulator's refill thread count replays without a skip, and
+    /// its spec equals today's default-threaded spec.
+    #[test]
+    fn legacy_submit_line_with_threads_replays() {
+        let path = tmp("legacy-threads.jsonl");
+        std::fs::write(
+            &path,
+            "{\"event\":\"submit\",\"job\":1,\"fingerprint\":\"00000000000000ab\",\
+             \"spec\":{\"workload\":\"gamess\",\"technique\":\"esteem\",\"retention_us\":50.0,\
+             \"instructions\":10000000,\"alpha\":0.97,\"a_min\":3,\"interval\":10000000,\
+             \"rs\":64,\"ecc_periods\":4,\"ecc_bits\":1,\"ways\":4,\"seed\":1,\
+             \"threads\":2,\"priority\":1,\"client\":\"anon\"},\"t\":0}\n\
+             {\"event\":\"done\",\"job\":1,\"t\":0}\n",
+        )
+        .unwrap();
+        let rec = recover(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(rec.skipped_lines, 0);
+        assert_eq!(rec.jobs.len(), 1);
+        assert_eq!(rec.jobs[0].spec, spec(1));
+        assert_eq!(rec.jobs[0].fingerprint, 0xab);
+        assert_eq!(rec.jobs[0].outcome, RecoveredOutcome::Done);
+    }
+
     /// Replay resolves outcome lines by id in O(1): 100k jobs (a submit
     /// and a done line each) recover in a few seconds even unoptimized,
     /// while a per-line scan of the job list (~5e9 id compares here)

@@ -552,14 +552,11 @@ fn execute(state: &Arc<State>, job: &Arc<Job>, queue_wait_us: u64) {
             .spec
             .resolve()
             .expect("spec resolved at submit; workloads/techniques are static");
-        // Thread count is a pure throughput knob (reports are
-        // byte-identical), so it is safe to apply here even though it is
-        // not part of the fingerprint the cache lookup above used.
-        let sim = Simulator::new(resolved.cfg, &resolved.profiles, &resolved.label)
-            .with_threads(job.spec.threads.max(1))
-            .with_observer(Box::new(EventSink {
+        let sim = Simulator::new(resolved.cfg, &resolved.profiles, &resolved.label).with_observer(
+            Box::new(EventSink {
                 events: Arc::clone(&job.events),
-            }));
+            }),
+        );
         let t0 = Instant::now();
         let report = sim.run();
         run_us.store(elapsed_us(t0), Ordering::Relaxed);

@@ -110,8 +110,9 @@ pub enum TraceEvent {
         cycle: u64,
         refreshes: u64,
         invalidations: u64,
-        /// Lines still queued in the polyphase scheduler afterwards
-        /// (zero for purely periodic policies).
+        /// Lines still queued in the polyphase scheduler afterwards for
+        /// an individual visit (zero for purely periodic policies; RPV's
+        /// steady lines wait in rows and are not counted).
         pending: u64,
     },
     /// One bank-contention window rollover: the modelled DRAM-contention
