@@ -34,7 +34,7 @@
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use esteem_core::{SimReport, Simulator, SystemConfig, Technique};
 use esteem_trace::{EventKind, TraceEvent, Tracer};
@@ -43,13 +43,13 @@ use esteem_workloads::BenchmarkProfile;
 /// Bump when simulator behavior changes (invalidates persisted entries).
 pub const FINGERPRINT_VERSION: u32 = 1;
 
-static CACHE: OnceLock<Mutex<HashMap<u64, SimReport>>> = OnceLock::new();
+static CACHE: OnceLock<Mutex<HashMap<u64, Arc<SimReport>>>> = OnceLock::new();
 static HITS: AtomicU64 = AtomicU64::new(0);
 static MISSES: AtomicU64 = AtomicU64::new(0);
 static DISK_EVICTIONS: AtomicU64 = AtomicU64::new(0);
 static TRACER: OnceLock<Tracer> = OnceLock::new();
 
-fn cache() -> &'static Mutex<HashMap<u64, SimReport>> {
+fn cache() -> &'static Mutex<HashMap<u64, Arc<SimReport>>> {
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
@@ -74,7 +74,7 @@ fn trace_lookup(fp: u64, was_hit: bool) {
 /// plain data and always consistent, and a panic on another sweep
 /// thread (e.g. a failed assertion in one experiment) must not cascade
 /// into every later lookup panicking too.
-fn lock_cache() -> std::sync::MutexGuard<'static, HashMap<u64, SimReport>> {
+fn lock_cache() -> std::sync::MutexGuard<'static, HashMap<u64, Arc<SimReport>>> {
     cache().lock().unwrap_or_else(|e| e.into_inner())
 }
 
@@ -212,17 +212,19 @@ fn store_to_disk(fp: u64, report: &SimReport) {
 /// This is the dedupe primitive of the `esteem-serve` job server: it
 /// lets a caller that needs to *observe* a simulation (interval streams,
 /// tracing) still short-circuit on a cached result, then publish its own
-/// report with [`insert`].
-pub fn lookup(fp: u64) -> Option<SimReport> {
+/// report with [`insert`]. A hit shares the stored report; nothing is
+/// copied.
+pub fn lookup(fp: u64) -> Option<Arc<SimReport>> {
     if let Some(hit) = lock_cache().get(&fp) {
         HITS.fetch_add(1, Ordering::Relaxed);
         trace_lookup(fp, true);
-        return Some(hit.clone());
+        return Some(Arc::clone(hit));
     }
     if let Some(hit) = load_from_disk(fp) {
         HITS.fetch_add(1, Ordering::Relaxed);
         trace_lookup(fp, true);
-        lock_cache().insert(fp, hit.clone());
+        let hit = Arc::new(hit);
+        lock_cache().insert(fp, Arc::clone(&hit));
         return Some(hit);
     }
     MISSES.fetch_add(1, Ordering::Relaxed);
@@ -231,9 +233,9 @@ pub fn lookup(fp: u64) -> Option<SimReport> {
 }
 
 /// Publishes a computed report under `fp` (memory + optional disk).
-pub fn insert(fp: u64, report: &SimReport) {
-    store_to_disk(fp, report);
-    lock_cache().insert(fp, report.clone());
+pub fn insert(fp: u64, report: Arc<SimReport>) {
+    store_to_disk(fp, &report);
+    lock_cache().insert(fp, report);
 }
 
 /// Runs the simulation described by `(cfg, profiles, label)`, memoized.
@@ -244,10 +246,10 @@ pub fn insert(fp: u64, report: &SimReport) {
 pub fn run_cached(cfg: SystemConfig, profiles: &[BenchmarkProfile], label: &str) -> SimReport {
     let fp = fingerprint(&cfg, profiles, label);
     if let Some(hit) = lookup(fp) {
-        return hit;
+        return SimReport::clone(&hit);
     }
     let report = Simulator::new(cfg, profiles, label).run();
-    insert(fp, &report);
+    insert(fp, Arc::new(report.clone()));
     report
 }
 
@@ -455,9 +457,10 @@ mod tests {
         cfg.seed ^= 0xcafe; // unique fingerprint for this test
         let fp = fingerprint(&cfg, std::slice::from_ref(&p), "lookup-test");
         assert_eq!(lookup(fp), None, "cold lookup misses");
-        let report = Simulator::new(cfg, std::slice::from_ref(&p), "lookup-test").run();
-        insert(fp, &report);
-        assert_eq!(lookup(fp), Some(report), "published report is returned");
+        let report = Arc::new(Simulator::new(cfg, std::slice::from_ref(&p), "lookup-test").run());
+        insert(fp, Arc::clone(&report));
+        let hit = lookup(fp).expect("published report is returned");
+        assert!(Arc::ptr_eq(&hit, &report), "a hit shares the stored report");
     }
 
     #[test]

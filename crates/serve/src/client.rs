@@ -1,12 +1,23 @@
 //! Minimal blocking HTTP/1.1 client for the daemon's API (std only).
 //!
-//! One request per connection (`Connection: close`), `Content-Length`
-//! and chunked response bodies, a streaming mode that hands chunked
-//! lines to a callback as they arrive, and an optional [`RetryPolicy`]
-//! with jittered exponential backoff for transport-level failures —
-//! enough for `esteem-client`, the coordinator→worker path, and the
-//! end-to-end tests, and nothing more.
+//! Each thread keeps one persistent connection per daemon address and
+//! reuses it for every request, the chunked events stream included: a
+//! job's submit, events and fetch share one TCP connection. A request
+//! goes out in one write on a `TCP_NODELAY` socket. A connection returns
+//! to the thread's pool only after a complete response that did not say
+//! `Connection: close`; a reused connection that fails before any
+//! response byte arrives (the server closed it while idle) is retried
+//! once on a fresh one. Response heads, `Content-Length` bodies and
+//! chunks are size-capped, so a broken or hostile server yields an
+//! `Err`, not a panic or an oversized allocation.
+//!
+//! Also: a streaming mode that hands chunked lines to a callback as they
+//! arrive, and an optional [`RetryPolicy`] with jittered exponential
+//! backoff for transport-level failures — enough for `esteem-client`,
+//! the coordinator→worker path, and the end-to-end tests, and nothing
+//! more.
 
+use std::cell::RefCell;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
@@ -101,32 +112,93 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// Upper bound on a response head (status line plus headers).
+const MAX_RESPONSE_HEAD_BYTES: usize = 64 * 1024;
+/// Upper bound on a response body: its `Content-Length`, or the decoded
+/// size of a chunked body.
+const MAX_RESPONSE_BODY_BYTES: usize = 256 * 1024 * 1024;
+/// Upper bound on one chunk-size or trailer line.
+const MAX_CHUNK_LINE_BYTES: usize = 1024;
+/// Idle connections one thread keeps for reuse.
+const POOL_SIZE: usize = 4;
+
 /// Response head: status + lowercased headers.
 struct Head {
     status: u16,
     headers: Vec<(String, String)>,
 }
 
-fn read_head(reader: &mut impl BufRead) -> Result<Head, String> {
+/// A failed request. `stale` means no response byte arrived, so a
+/// reused connection may simply have been closed by the server while it
+/// sat idle.
+struct Failure {
+    msg: String,
+    stale: bool,
+}
+
+impl Failure {
+    fn fatal(msg: String) -> Self {
+        Failure { msg, stale: false }
+    }
+}
+
+fn is_disconnect(e: &std::io::Error) -> bool {
+    use std::io::ErrorKind::*;
+    matches!(
+        e.kind(),
+        ConnectionReset | ConnectionAborted | BrokenPipe | NotConnected | UnexpectedEof
+    )
+}
+
+/// Appends one line of at most `cap` bytes to `line`; returns the bytes
+/// read, 0 at end of stream. A longer line is an error.
+fn read_line_capped(
+    reader: &mut impl BufRead,
+    line: &mut String,
+    cap: usize,
+) -> std::io::Result<usize> {
+    let n = (&mut *reader).take(cap as u64).read_line(line)?;
+    if n >= cap && !line.ends_with('\n') {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            format!("line longer than {cap} bytes"),
+        ));
+    }
+    Ok(n)
+}
+
+fn read_head(reader: &mut impl BufRead) -> Result<Head, Failure> {
     let mut line = String::new();
-    reader
-        .read_line(&mut line)
-        .map_err(|e| format!("reading status line: {e}"))?;
+    let mut budget = MAX_RESPONSE_HEAD_BYTES;
+    match read_line_capped(reader, &mut line, budget) {
+        Ok(0) => {
+            return Err(Failure {
+                msg: "connection closed before the response".into(),
+                stale: true,
+            })
+        }
+        Ok(n) => budget -= n,
+        Err(e) => {
+            return Err(Failure {
+                stale: line.is_empty() && is_disconnect(&e),
+                msg: format!("reading status line: {e}"),
+            })
+        }
+    }
     let status = line
         .split_whitespace()
         .nth(1)
         .and_then(|s| s.parse::<u16>().ok())
-        .ok_or_else(|| format!("bad status line: {line:?}"))?;
+        .ok_or_else(|| Failure::fatal(format!("bad status line: {line:?}")))?;
     let mut headers = Vec::new();
     loop {
         let mut h = String::new();
-        if reader
-            .read_line(&mut h)
-            .map_err(|e| format!("reading headers: {e}"))?
-            == 0
-        {
-            return Err("connection closed mid-headers".into());
+        let n = read_line_capped(reader, &mut h, budget)
+            .map_err(|e| Failure::fatal(format!("reading headers: {e}")))?;
+        if n == 0 {
+            return Err(Failure::fatal("connection closed mid-headers".into()));
         }
+        budget -= n;
         let t = h.trim_end_matches(['\r', '\n']);
         if t.is_empty() {
             break;
@@ -145,33 +217,161 @@ fn header<'a>(head: &'a Head, name: &str) -> Option<&'a str> {
         .map(|(_, v)| v.as_str())
 }
 
-fn connect(addr: &str) -> Result<TcpStream, String> {
-    connect_with(addr, DEFAULT_READ_TIMEOUT)
+fn is_chunked(head: &Head) -> bool {
+    header(head, "transfer-encoding").is_some_and(|v| v.eq_ignore_ascii_case("chunked"))
 }
 
-fn connect_with(addr: &str, read_timeout: Duration) -> Result<TcpStream, String> {
-    let stream = TcpStream::connect(addr).map_err(|e| format!("connecting to {addr}: {e}"))?;
-    let _ = stream.set_read_timeout(Some(read_timeout));
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(30)));
-    Ok(stream)
+/// A kept-alive connection to one daemon address.
+struct Conn {
+    addr: String,
+    reader: BufReader<TcpStream>,
+    read_timeout: Duration,
 }
 
-fn send_request(
-    stream: &mut TcpStream,
+thread_local! {
+    /// This thread's idle connections, least recently used first.
+    static POOL: RefCell<Vec<Conn>> = const { RefCell::new(Vec::new()) };
+}
+
+impl Conn {
+    fn open(addr: &str, read_timeout: Duration) -> Result<Conn, String> {
+        let stream = TcpStream::connect(addr).map_err(|e| format!("connecting to {addr}: {e}"))?;
+        let _ = stream.set_nodelay(true);
+        let _ = stream.set_read_timeout(Some(read_timeout));
+        let _ = stream.set_write_timeout(Some(Duration::from_secs(30)));
+        Ok(Conn {
+            addr: addr.to_owned(),
+            reader: BufReader::new(stream),
+            read_timeout,
+        })
+    }
+
+    /// This thread's idle connection to `addr`, if it has one.
+    fn pooled(addr: &str, read_timeout: Duration) -> Option<Conn> {
+        let mut conn = POOL.with(|pool| {
+            let mut pool = pool.borrow_mut();
+            let i = pool.iter().rposition(|c| c.addr == addr)?;
+            Some(pool.remove(i))
+        })?;
+        if conn.read_timeout != read_timeout {
+            let _ = conn.reader.get_ref().set_read_timeout(Some(read_timeout));
+            conn.read_timeout = read_timeout;
+        }
+        Some(conn)
+    }
+
+    /// Returns the connection to this thread's pool, evicting the least
+    /// recently used one when the pool is full.
+    fn release(self) {
+        POOL.with(|pool| {
+            let mut pool = pool.borrow_mut();
+            if pool.len() >= POOL_SIZE {
+                pool.remove(0);
+            }
+            pool.push(self);
+        });
+    }
+
+    /// Sends the request, head and body in one write, and reads the
+    /// response head.
+    fn send(&mut self, method: &str, path: &str, body: Option<&str>) -> Result<Head, Failure> {
+        let body = body.unwrap_or("");
+        let mut req = format!(
+            "{method} {path} HTTP/1.1\r\nHost: esteem\r\nContent-Length: {}\r\n\r\n",
+            body.len()
+        );
+        req.push_str(body);
+        self.reader
+            .get_mut()
+            .write_all(req.as_bytes())
+            .map_err(|e| Failure {
+                msg: format!("sending request: {e}"),
+                stale: true,
+            })?;
+        read_head(&mut self.reader)
+    }
+
+    /// Reads the body `head` announces, handing its text to `sink` (once
+    /// per chunk of a chunked body), then pools the connection unless the
+    /// response ends it.
+    fn finish(mut self, head: &Head, sink: impl FnMut(&str)) -> Result<(), String> {
+        let framed = read_body(&mut self.reader, head, sink)?;
+        let close = header(head, "connection").is_some_and(|v| v.eq_ignore_ascii_case("close"));
+        if framed && !close && self.reader.buffer().is_empty() {
+            self.release();
+        }
+        Ok(())
+    }
+}
+
+/// Sends one request and reads the response head, on this thread's
+/// pooled connection to `addr` when it has one. A reused connection that
+/// fails before any response byte arrives is retried once on a fresh
+/// connection: the server may have closed it while idle, and every
+/// request the client sends is safe to repeat (see [`RetryPolicy`]).
+fn exchange(
+    addr: &str,
     method: &str,
     path: &str,
     body: Option<&str>,
-) -> Result<(), String> {
-    let body = body.unwrap_or("");
-    let head = format!(
-        "{method} {path} HTTP/1.1\r\nHost: esteem\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
-        body.len()
-    );
-    stream
-        .write_all(head.as_bytes())
-        .and_then(|()| stream.write_all(body.as_bytes()))
-        .and_then(|()| stream.flush())
-        .map_err(|e| format!("sending request: {e}"))
+    read_timeout: Duration,
+) -> Result<(Conn, Head), String> {
+    if let Some(mut conn) = Conn::pooled(addr, read_timeout) {
+        match conn.send(method, path, body) {
+            Ok(head) => return Ok((conn, head)),
+            Err(f) if !f.stale => return Err(f.msg),
+            Err(_) => {}
+        }
+    }
+    let mut conn = Conn::open(addr, read_timeout)?;
+    let head = conn.send(method, path, body).map_err(|f| f.msg)?;
+    Ok((conn, head))
+}
+
+/// Reads a response body per its framing, handing text to `sink`.
+/// Returns whether the body was framed (chunked or `Content-Length`),
+/// that is, whether the connection can carry another request.
+fn read_body(
+    reader: &mut impl BufRead,
+    head: &Head,
+    mut sink: impl FnMut(&str),
+) -> Result<bool, String> {
+    if is_chunked(head) {
+        read_chunked(reader, sink)?;
+        return Ok(true);
+    }
+    let (limit, framed) = match header(head, "content-length") {
+        Some(len) => {
+            let len: usize = len.parse().map_err(|_| "bad content-length".to_owned())?;
+            if len > MAX_RESPONSE_BODY_BYTES {
+                return Err(format!(
+                    "response body of {len} bytes is over the {MAX_RESPONSE_BODY_BYTES}-byte cap"
+                ));
+            }
+            (len, true)
+        }
+        // Unframed: the body runs to the end of the connection.
+        None => (MAX_RESPONSE_BODY_BYTES + 1, false),
+    };
+    // The buffer grows as bytes arrive, so a length the peer never
+    // sends costs no memory.
+    let mut buf = Vec::new();
+    let read = (&mut *reader)
+        .take(limit as u64)
+        .read_to_end(&mut buf)
+        .map_err(|e| format!("reading body: {e}"));
+    if framed {
+        read?;
+        if buf.len() < limit {
+            return Err("connection closed mid-body".into());
+        }
+    } else if buf.len() > MAX_RESPONSE_BODY_BYTES {
+        return Err(format!(
+            "response body is over the {MAX_RESPONSE_BODY_BYTES}-byte cap"
+        ));
+    }
+    sink(&String::from_utf8_lossy(&buf));
+    Ok(framed)
 }
 
 /// One request/response round trip; decodes `Content-Length` and
@@ -260,54 +460,61 @@ fn request_once(
     body: Option<&str>,
     read_timeout: Duration,
 ) -> Result<FullResponse, String> {
-    let mut stream = connect_with(addr, read_timeout)?;
-    send_request(&mut stream, method, path, body)?;
-    let mut reader = BufReader::new(stream);
-    let head = read_head(&mut reader)?;
-    let body =
-        if header(&head, "transfer-encoding").is_some_and(|v| v.eq_ignore_ascii_case("chunked")) {
-            let mut out = String::new();
-            read_chunked(&mut reader, |chunk| out.push_str(chunk))?;
-            out
-        } else if let Some(len) = header(&head, "content-length") {
-            let len: usize = len.parse().map_err(|_| "bad content-length".to_owned())?;
-            let mut buf = vec![0u8; len];
-            reader
-                .read_exact(&mut buf)
-                .map_err(|e| format!("reading body: {e}"))?;
-            String::from_utf8_lossy(&buf).into_owned()
-        } else {
-            let mut out = String::new();
-            let _ = reader.read_to_string(&mut out);
-            out
-        };
-    Ok((head.status, head.headers, body))
+    let (conn, head) = exchange(addr, method, path, body, read_timeout)?;
+    let mut out = String::new();
+    conn.finish(&head, |text| out.push_str(text))?;
+    Ok((head.status, head.headers, out))
 }
 
 /// Decodes a chunked body, invoking `sink` once per chunk payload.
 fn read_chunked(reader: &mut impl BufRead, mut sink: impl FnMut(&str)) -> Result<(), String> {
+    let mut total = 0usize;
+    let mut buf = Vec::new();
     loop {
         let mut size_line = String::new();
-        if reader
-            .read_line(&mut size_line)
+        if read_line_capped(reader, &mut size_line, MAX_CHUNK_LINE_BYTES)
             .map_err(|e| format!("reading chunk size: {e}"))?
             == 0
         {
             return Err("connection closed mid-chunk".into());
         }
-        let size = usize::from_str_radix(size_line.trim(), 16)
+        let size_str = size_line.trim().split(';').next().unwrap_or("").trim();
+        let size = usize::from_str_radix(size_str, 16)
             .map_err(|_| format!("bad chunk size {size_line:?}"))?;
-        if size == 0 {
-            // Trailing CRLF after the last chunk.
-            let mut crlf = String::new();
-            let _ = reader.read_line(&mut crlf);
-            return Ok(());
+        total = total.saturating_add(size);
+        if total > MAX_RESPONSE_BODY_BYTES {
+            return Err(format!(
+                "chunked body is over the {MAX_RESPONSE_BODY_BYTES}-byte cap"
+            ));
         }
-        let mut buf = vec![0u8; size + 2]; // payload + CRLF
-        reader
-            .read_exact(&mut buf)
+        if size == 0 {
+            // Trailer section: header lines, then a blank line.
+            loop {
+                let mut trailer = String::new();
+                if read_line_capped(reader, &mut trailer, MAX_CHUNK_LINE_BYTES)
+                    .map_err(|e| format!("reading chunk trailer: {e}"))?
+                    == 0
+                {
+                    return Err("connection closed mid-trailer".into());
+                }
+                if trailer.trim_end_matches(['\r', '\n']).is_empty() {
+                    return Ok(());
+                }
+            }
+        }
+        buf.clear();
+        (&mut *reader)
+            .take(size as u64)
+            .read_to_end(&mut buf)
             .map_err(|e| format!("reading chunk: {e}"))?;
-        sink(&String::from_utf8_lossy(&buf[..size]));
+        let mut crlf = [0u8; 2];
+        if buf.len() < size || reader.read_exact(&mut crlf).is_err() {
+            return Err("connection closed mid-chunk".into());
+        }
+        if &crlf != b"\r\n" {
+            return Err("missing chunk terminator".into());
+        }
+        sink(&String::from_utf8_lossy(&buf));
     }
 }
 
@@ -315,18 +522,14 @@ fn read_chunked(reader: &mut impl BufRead, mut sink: impl FnMut(&str)) -> Result
 /// `on_line` per newline-terminated line as chunks arrive. Returns the
 /// HTTP status.
 pub fn stream_lines(addr: &str, path: &str, mut on_line: impl FnMut(&str)) -> Result<u16, String> {
-    let mut stream = connect(addr)?;
-    send_request(&mut stream, "GET", path, None)?;
-    let mut reader = BufReader::new(stream);
-    let head = read_head(&mut reader)?;
-    if !header(&head, "transfer-encoding").is_some_and(|v| v.eq_ignore_ascii_case("chunked")) {
+    let (conn, head) = exchange(addr, "GET", path, None, DEFAULT_READ_TIMEOUT)?;
+    if !is_chunked(&head) {
         // Error responses are plain bodies; drain and report via status.
-        let mut out = String::new();
-        let _ = reader.read_to_string(&mut out);
+        let _ = conn.finish(&head, |_| {});
         return Ok(head.status);
     }
     let mut pending = String::new();
-    read_chunked(&mut reader, |chunk| {
+    conn.finish(&head, |chunk| {
         pending.push_str(chunk);
         while let Some(nl) = pending.find('\n') {
             let line: String = pending.drain(..=nl).collect();
@@ -683,6 +886,134 @@ mod tests {
         .unwrap_err();
         assert!(err.contains("submit failed (429)"), "got: {err}");
         assert_eq!(retry_after_ms_from_error(&err), Some(750));
+        server.join().unwrap();
+    }
+
+    /// A fake server: accepts one connection, reads whatever request
+    /// arrives, writes `response` and closes.
+    fn one_shot(response: Vec<u8>) -> (String, std::thread::JoinHandle<()>) {
+        use std::io::Write as _;
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let server = std::thread::spawn(move || {
+            let (mut s, _) = listener.accept().unwrap();
+            let mut drain = [0u8; 4096];
+            let _ = std::io::Read::read(&mut s, &mut drain);
+            let _ = s.write_all(&response);
+        });
+        (addr, server)
+    }
+
+    fn request_err(response: &str) -> String {
+        let (addr, server) = one_shot(response.as_bytes().to_vec());
+        let err = request(&addr, "GET", "/v1/health", None).unwrap_err();
+        server.join().unwrap();
+        err
+    }
+
+    #[test]
+    fn chunk_sizes_past_the_cap_are_errors_not_panics() {
+        for size in ["ffffffffffffffff", "10000000000"] {
+            let err = request_err(&format!(
+                "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n{size}\r\nxx"
+            ));
+            assert!(err.contains("cap"), "size {size}: {err}");
+        }
+    }
+
+    #[test]
+    fn content_length_past_the_cap_is_an_error() {
+        let err = request_err("HTTP/1.1 200 OK\r\nContent-Length: 10000000000\r\n\r\nxx");
+        assert!(err.contains("cap"), "got: {err}");
+    }
+
+    #[test]
+    fn unbounded_head_lines_are_errors() {
+        let status_line = format!("HTTP/1.1 200 {}", "a".repeat(100_000));
+        let err = request_err(&status_line);
+        assert!(err.contains("longer than"), "got: {err}");
+        let headers = format!("HTTP/1.1 200 OK\r\n{}", "X-Pad: aaaaaaaa\r\n".repeat(8_000));
+        let err = request_err(&headers);
+        assert!(err.contains("longer than"), "got: {err}");
+    }
+
+    /// Reads one request head (and its `Content-Length` body) off a fake
+    /// server's connection; `None` at end of stream.
+    fn read_fake_request(reader: &mut BufReader<TcpStream>) -> Option<String> {
+        let mut head = String::new();
+        loop {
+            let mut line = String::new();
+            if reader.read_line(&mut line).ok()? == 0 {
+                return None;
+            }
+            if line == "\r\n" {
+                break;
+            }
+            head.push_str(&line);
+        }
+        let len = head
+            .lines()
+            .find_map(|l| l.strip_prefix("Content-Length: "))
+            .map_or(0, |v| v.trim().parse().unwrap());
+        let mut body = vec![0; len];
+        reader.read_exact(&mut body).ok()?;
+        Some(head)
+    }
+
+    const KEEP_ALIVE_OK: &[u8] =
+        b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nConnection: keep-alive\r\n\r\nok";
+
+    #[test]
+    fn keep_alive_responses_reuse_one_connection() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        // Accepts a single connection: a second one would never be
+        // answered and the request would time out.
+        let server = std::thread::spawn(move || {
+            let (s, _) = listener.accept().unwrap();
+            let mut reader = BufReader::new(s.try_clone().unwrap());
+            let mut heads = Vec::new();
+            for _ in 0..3 {
+                heads.push(read_fake_request(&mut reader).unwrap());
+                (&s).write_all(KEEP_ALIVE_OK).unwrap();
+            }
+            heads
+        });
+        for path in ["/a", "/b", "/c"] {
+            let (status, _, body) =
+                request_full(&addr, "GET", path, None, Duration::from_secs(5)).unwrap();
+            assert_eq!((status, body.as_str()), (200, "ok"));
+        }
+        for head in server.join().unwrap() {
+            assert!(
+                !head.to_ascii_lowercase().contains("connection: close"),
+                "{head}"
+            );
+        }
+    }
+
+    #[test]
+    fn stale_pooled_connection_is_retried_once_on_a_fresh_one() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let (closed_tx, closed_rx) = std::sync::mpsc::channel();
+        let server = std::thread::spawn(move || {
+            for conn in 0..2 {
+                let (s, _) = listener.accept().unwrap();
+                let mut reader = BufReader::new(s.try_clone().unwrap());
+                read_fake_request(&mut reader).unwrap();
+                (&s).write_all(KEEP_ALIVE_OK).unwrap();
+                if conn == 0 {
+                    // Close the kept-alive connection while it is idle.
+                    let _ = s.shutdown(std::net::Shutdown::Both);
+                    drop((s, reader));
+                    closed_tx.send(()).unwrap();
+                }
+            }
+        });
+        assert_eq!(request(&addr, "GET", "/a", None).unwrap().0, 200);
+        closed_rx.recv().unwrap();
+        assert_eq!(request(&addr, "GET", "/b", None).unwrap().0, 200);
         server.join().unwrap();
     }
 

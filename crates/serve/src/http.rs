@@ -6,9 +6,14 @@
 //! and chunked responses for streaming endpoints. No TLS, no
 //! compression, no routing DSL — the job API needs exactly none of
 //! that, and every line here is auditable.
+//!
+//! Stopping the server shuts down the read side of every open
+//! connection, so a kept-alive connection idle between requests closes
+//! at once instead of holding up the drain until its read timeout.
 
+use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
@@ -100,21 +105,38 @@ pub struct HttpCounters {
     pub parse_errors: AtomicU64,
 }
 
+/// The open connections by serial, shared with their threads so that
+/// stopping the server can shut their reads down.
+#[derive(Default)]
 struct ConnTracker {
-    live: Mutex<usize>,
+    live: Mutex<HashMap<u64, Arc<TcpStream>>>,
+    next: AtomicU64,
     zero: Condvar,
 }
 
 impl ConnTracker {
-    fn enter(self: &Arc<Self>) -> ConnGuard {
-        *self.live.lock().unwrap_or_else(|e| e.into_inner()) += 1;
-        ConnGuard(Arc::clone(self))
+    fn enter(self: &Arc<Self>, stream: &Arc<TcpStream>) -> ConnGuard {
+        let serial = self.next.fetch_add(1, Ordering::Relaxed);
+        self.live
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .insert(serial, Arc::clone(stream));
+        ConnGuard(Arc::clone(self), serial)
+    }
+
+    /// Ends every open connection's reads: a connection waiting for its
+    /// next request sees end of stream, one mid-response still finishes
+    /// writing it.
+    fn shutdown_reads(&self) {
+        for stream in self.live.lock().unwrap_or_else(|e| e.into_inner()).values() {
+            let _ = stream.shutdown(Shutdown::Read);
+        }
     }
 
     fn wait_zero(&self, timeout: Duration) -> bool {
         let deadline = std::time::Instant::now() + timeout;
         let mut live = self.live.lock().unwrap_or_else(|e| e.into_inner());
-        while *live > 0 {
+        while !live.is_empty() {
             let now = std::time::Instant::now();
             if now >= deadline {
                 return false;
@@ -129,13 +151,13 @@ impl ConnTracker {
     }
 }
 
-struct ConnGuard(Arc<ConnTracker>);
+struct ConnGuard(Arc<ConnTracker>, u64);
 
 impl Drop for ConnGuard {
     fn drop(&mut self) {
         let mut live = self.0.live.lock().unwrap_or_else(|e| e.into_inner());
-        *live -= 1;
-        if *live == 0 {
+        live.remove(&self.1);
+        if live.is_empty() {
             self.0.zero.notify_all();
         }
     }
@@ -145,15 +167,18 @@ impl Drop for ConnGuard {
 #[derive(Clone)]
 pub struct ServerHandle {
     stop: Arc<AtomicBool>,
+    conns: Arc<ConnTracker>,
     addr: SocketAddr,
 }
 
 impl ServerHandle {
-    /// Requests the accept loop to exit. Idempotent.
+    /// Requests the accept loop to exit and closes connections idle
+    /// between requests. Idempotent.
     pub fn stop(&self) {
         if self.stop.swap(true, Ordering::SeqCst) {
             return;
         }
+        self.conns.shutdown_reads();
         // Unblock the blocking accept with a throwaway connection.
         let _ = TcpStream::connect_timeout(&self.addr, Duration::from_secs(1));
     }
@@ -179,10 +204,7 @@ impl HttpServer {
             listener,
             handler,
             stop: Arc::new(AtomicBool::new(false)),
-            conns: Arc::new(ConnTracker {
-                live: Mutex::new(0),
-                zero: Condvar::new(),
-            }),
+            conns: Arc::default(),
             counters: Arc::new(HttpCounters::default()),
             read_timeout: Duration::from_secs(30),
             write_timeout: Duration::from_secs(30),
@@ -212,6 +234,7 @@ impl HttpServer {
     pub fn handle(&self) -> ServerHandle {
         ServerHandle {
             stop: Arc::clone(&self.stop),
+            conns: Arc::clone(&self.conns),
             addr: self.local_addr(),
         }
     }
@@ -225,10 +248,11 @@ impl HttpServer {
                 break;
             }
             let Ok(stream) = stream else { continue };
+            let stream = Arc::new(stream);
             self.counters.accepted.fetch_add(1, Ordering::Relaxed);
             let handler = Arc::clone(&self.handler);
             let counters = Arc::clone(&self.counters);
-            let guard = self.conns.enter();
+            let guard = self.conns.enter(&stream);
             let stop = Arc::clone(&self.stop);
             let (rt, wt) = (self.read_timeout, self.write_timeout);
             let max_body = self.max_body;
@@ -245,7 +269,7 @@ impl HttpServer {
 }
 
 fn serve_connection(
-    stream: TcpStream,
+    stream: Arc<TcpStream>,
     handler: &Handler,
     counters: &HttpCounters,
     stop: &AtomicBool,
@@ -256,9 +280,12 @@ fn serve_connection(
     stream.set_read_timeout(Some(read_timeout))?;
     stream.set_write_timeout(Some(write_timeout))?;
     stream.set_nodelay(true)?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = stream;
-    for _ in 0..MAX_REQUESTS_PER_CONN {
+    let mut reader = BufReader::new(&*stream);
+    let writer = &*stream;
+    for served in 1..=MAX_REQUESTS_PER_CONN {
+        if !await_request(&mut reader, stop) {
+            return Ok(());
+        }
         let req = match read_request(&mut reader, max_body) {
             Ok(Some(req)) => req,
             // Clean end of connection (client closed between requests).
@@ -273,13 +300,14 @@ fn serve_connection(
                 {
                     let msg = e.to_string();
                     let status = if msg.contains(TOO_LARGE) { 413 } else { 400 };
-                    let _ = write_simple(&mut writer, status, "text/plain", msg, false);
+                    let _ = write_simple(writer, status, "text/plain", msg, false);
                 }
                 return Ok(());
             }
         };
         counters.requests.fetch_add(1, Ordering::Relaxed);
-        let keep_alive = !matches!(req.header("connection"), Some(c) if c.eq_ignore_ascii_case("close"))
+        let keep_alive = served < MAX_REQUESTS_PER_CONN
+            && !matches!(req.header("connection"), Some(c) if c.eq_ignore_ascii_case("close"))
             && !stop.load(Ordering::SeqCst);
         let result = handler(&req);
         let status = match &result {
@@ -296,26 +324,19 @@ fn serve_connection(
         };
         match result {
             HandlerResult::Json(status, body) => {
-                write_simple(&mut writer, status, "application/json", body, keep_alive)?;
+                write_simple(writer, status, "application/json", body, keep_alive)?;
             }
             HandlerResult::JsonHeaders(status, body, extra) => {
-                write_with_headers(
-                    &mut writer,
-                    status,
-                    "application/json",
-                    body,
-                    keep_alive,
-                    &extra,
-                )?;
+                write_with_headers(writer, status, "application/json", body, keep_alive, &extra)?;
             }
             HandlerResult::Text(status, body) => {
-                write_simple(&mut writer, status, "text/plain", body, keep_alive)?;
+                write_simple(writer, status, "text/plain", body, keep_alive)?;
             }
             HandlerResult::Typed(status, content_type, body) => {
-                write_simple(&mut writer, status, content_type, body, keep_alive)?;
+                write_simple(writer, status, content_type, body, keep_alive)?;
             }
             HandlerResult::Stream(status, lines) => {
-                write_chunked(&mut writer, status, lines, keep_alive)?;
+                write_chunked(writer, status, lines, keep_alive)?;
             }
         }
         if !keep_alive {
@@ -325,10 +346,22 @@ fn serve_connection(
     Ok(())
 }
 
+/// Waits for the first byte of the next request. `false` means the
+/// connection should close instead: the client closed or reset it, it
+/// stayed idle past the read timeout, or the server is stopping (which
+/// also ends a read already waiting, see [`ConnTracker::shutdown_reads`]).
+/// None of these is a parse error.
+fn await_request(reader: &mut BufReader<&TcpStream>, stop: &AtomicBool) -> bool {
+    if !reader.buffer().is_empty() {
+        return true;
+    }
+    !stop.load(Ordering::SeqCst) && matches!(reader.fill_buf(), Ok(buf) if !buf.is_empty())
+}
+
 /// Reads one request. `Ok(None)` means the client closed the connection
 /// cleanly before sending a request line.
 fn read_request(
-    reader: &mut BufReader<TcpStream>,
+    reader: &mut BufReader<&TcpStream>,
     max_body: usize,
 ) -> std::io::Result<Option<Request>> {
     let mut line = String::new();
@@ -405,7 +438,7 @@ fn read_request(
 /// [`TOO_LARGE`] error before the oversized chunk is buffered, so a hostile
 /// client cannot make the server allocate more than the cap.
 fn read_chunked_body(
-    reader: &mut BufReader<TcpStream>,
+    reader: &mut BufReader<&TcpStream>,
     max_body: usize,
 ) -> std::io::Result<Vec<u8>> {
     let bad = |msg: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, msg.to_owned());
@@ -449,7 +482,7 @@ fn read_chunked_body(
 }
 
 fn write_simple(
-    w: &mut TcpStream,
+    w: &TcpStream,
     status: u16,
     content_type: &str,
     body: String,
@@ -459,7 +492,7 @@ fn write_simple(
 }
 
 fn write_with_headers(
-    w: &mut TcpStream,
+    mut w: &TcpStream,
     status: u16,
     content_type: &str,
     body: String,
@@ -479,34 +512,43 @@ fn write_with_headers(
         head.push_str("\r\n");
     }
     head.push_str("\r\n");
+    // One write: on a `TCP_NODELAY` socket, two would send two segments.
+    head.push_str(&body);
     w.write_all(head.as_bytes())?;
-    w.write_all(body.as_bytes())?;
     w.flush()
 }
 
+/// Writes a chunked response. What is buffered goes out before each
+/// item the iterator may block on; items its `size_hint` promises are
+/// ready (a finished job's lines) share one write with the head and the
+/// terminator.
 fn write_chunked(
-    w: &mut TcpStream,
+    mut w: &TcpStream,
     status: u16,
-    lines: Box<dyn Iterator<Item = String> + Send>,
+    mut lines: Box<dyn Iterator<Item = String> + Send>,
     keep_alive: bool,
 ) -> std::io::Result<()> {
     let conn = if keep_alive { "keep-alive" } else { "close" };
-    let head = format!(
+    let mut out = format!(
         "HTTP/1.1 {status} {}\r\nContent-Type: application/jsonl\r\nTransfer-Encoding: chunked\r\nConnection: {conn}\r\n\r\n",
         reason(status),
-    );
-    w.write_all(head.as_bytes())?;
-    w.flush()?;
-    for line in lines {
+    )
+    .into_bytes();
+    loop {
+        let (ready, left) = lines.size_hint();
+        if ready == 0 && left != Some(0) && !out.is_empty() {
+            w.write_all(&out)?;
+            out.clear();
+        }
+        let Some(line) = lines.next() else { break };
         // One chunk per line, newline-terminated inside the chunk so a
         // consumer can split on lines without understanding chunking.
-        let payload = format!("{line}\n");
-        write!(w, "{:x}\r\n", payload.len())?;
-        w.write_all(payload.as_bytes())?;
-        w.write_all(b"\r\n")?;
-        w.flush()?;
+        write!(out, "{:x}\r\n", line.len() + 1)?;
+        out.extend_from_slice(line.as_bytes());
+        out.extend_from_slice(b"\n\r\n");
     }
-    w.write_all(b"0\r\n\r\n")?;
+    out.extend_from_slice(b"0\r\n\r\n");
+    w.write_all(&out)?;
     w.flush()
 }
 

@@ -262,12 +262,13 @@ impl JobSpec {
     }
 }
 
-/// Lifecycle of one job.
+/// Lifecycle of one job. A finished report is shared with the run cache,
+/// so cloning a state copies no report.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JobState {
     Queued,
     Running,
-    Done(Box<SimReport>),
+    Done(Arc<SimReport>),
     Failed(String),
 }
 
@@ -279,10 +280,6 @@ impl JobState {
             JobState::Done(_) => "done",
             JobState::Failed(_) => "failed",
         }
-    }
-
-    pub fn is_terminal(&self) -> bool {
-        matches!(self, JobState::Done(_) | JobState::Failed(_))
     }
 }
 
@@ -332,6 +329,15 @@ impl JobEvents {
             }
             inner = self.cv.wait(inner).unwrap_or_else(|e| e.into_inner());
         }
+    }
+
+    /// Every line pushed so far.
+    pub fn lines(&self) -> Vec<String> {
+        self.inner
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .lines
+            .clone()
     }
 
     pub fn len(&self) -> usize {
@@ -410,6 +416,33 @@ impl Job {
     pub fn set_state(&self, next: JobState) {
         *self.state.lock().unwrap_or_else(|e| e.into_inner()) = next;
     }
+
+    /// The compact record that replaces this job once it reaches the
+    /// terminal `state`.
+    pub fn finished(&self, state: JobState) -> FinishedJob {
+        FinishedJob {
+            fingerprint: self.fingerprint,
+            workload: self.spec.workload.as_str().into(),
+            coalesced: self.coalesced.load(std::sync::atomic::Ordering::Relaxed),
+            state,
+            events: self.events.lines().into_boxed_slice(),
+        }
+    }
+}
+
+/// What the job table keeps of a terminal job: what its status and
+/// events requests return, without the spec, the state mutex and the
+/// event channel of a live [`Job`]. It holds nothing that tells one job
+/// from another, so run-cache hits of one fingerprint share one record.
+#[derive(Debug)]
+pub struct FinishedJob {
+    pub fingerprint: u64,
+    pub workload: Box<str>,
+    pub coalesced: u64,
+    /// [`JobState::Done`] or [`JobState::Failed`].
+    pub state: JobState,
+    /// The job's event lines (no allocation when it produced none).
+    pub events: Box<[String]>,
 }
 
 #[cfg(test)]

@@ -21,7 +21,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use esteem_core::Simulator;
+use esteem_core::{SimReport, Simulator};
 use esteem_harness::runcache;
 use esteem_par::WorkerPool;
 use esteem_stats::{
@@ -33,7 +33,7 @@ use serde::{Serialize, Value};
 use crate::admission::{AdmissionControl, AdmissionOptions, Shed, ShedReason};
 use crate::cluster::{ClusterAgent, ClusterConfig};
 use crate::http::{Handler, HandlerResult, HttpCounters, HttpServer};
-use crate::job::{EventStream, Job, JobSpec, JobState};
+use crate::job::{EventStream, FinishedJob, Job, JobSpec, JobState};
 use crate::journal::{recover, Journal, RecoveredOutcome};
 use crate::observe::{flight_dump_value, FlightRecorder, JobTiming, Outcome, ServeMetrics};
 use crate::queue::{JobQueue, PushError, QueuedJob};
@@ -170,8 +170,80 @@ impl Gate {
     }
 }
 
+/// One entry of the job table: a live job, or the compact record that
+/// replaces it once it is terminal.
+#[derive(Clone)]
+enum Tracked {
+    Live(Arc<Job>),
+    Finished(Arc<FinishedJob>),
+}
+
+impl Tracked {
+    fn state(&self) -> JobState {
+        match self {
+            Tracked::Live(job) => job.state(),
+            Tracked::Finished(f) => f.state.clone(),
+        }
+    }
+}
+
+/// Jobs by id. Ids are allocated sequentially, so the table is a vector
+/// indexed by id: 16 bytes a job, and growth without rehashing. An id far
+/// past the end (only a strange journal can hold one) goes to a map
+/// instead of growing the vector to it.
+#[derive(Default)]
+struct JobTable {
+    dense: Vec<Option<Tracked>>,
+    sparse: HashMap<u64, Tracked>,
+    len: usize,
+}
+
+/// How far past the end of the dense vector an id may land.
+const MAX_ID_GAP: u64 = 1 << 16;
+
+impl JobTable {
+    fn get(&self, id: u64) -> Option<&Tracked> {
+        match usize::try_from(id).ok().and_then(|i| self.dense.get(i)) {
+            Some(slot) => slot.as_ref(),
+            None => self.sparse.get(&id),
+        }
+    }
+
+    fn insert(&mut self, id: u64, job: Tracked) {
+        let end = self.dense.len() as u64;
+        let old = if id < end {
+            self.dense[id as usize].replace(job)
+        } else if id - end <= MAX_ID_GAP {
+            self.dense.resize(id as usize, None);
+            self.dense.push(Some(job));
+            None
+        } else {
+            self.sparse.insert(id, job)
+        };
+        self.len += usize::from(old.is_none());
+    }
+
+    fn remove(&mut self, id: u64) {
+        let old = match usize::try_from(id).ok().and_then(|i| self.dense.get_mut(i)) {
+            Some(slot) => slot.take(),
+            None => self.sparse.remove(&id),
+        };
+        self.len -= usize::from(old.is_some());
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn values(&self) -> impl Iterator<Item = &Tracked> {
+        self.dense.iter().flatten().chain(self.sparse.values())
+    }
+}
+
 struct State {
-    jobs: Mutex<HashMap<u64, Arc<Job>>>,
+    jobs: Mutex<JobTable>,
+    /// fingerprint -> the record run-cache hits of it share.
+    cached: Mutex<HashMap<u64, Arc<FinishedJob>>>,
     next_id: AtomicU64,
     /// fingerprint -> primary job id, for every job not yet terminal.
     inflight: Mutex<HashMap<u64, u64>>,
@@ -201,26 +273,62 @@ struct State {
 }
 
 impl State {
-    fn job(&self, id: u64) -> Option<Arc<Job>> {
+    fn tracked(&self, id: u64) -> Option<Tracked> {
         self.jobs
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .get(&id)
+            .get(id)
             .cloned()
+    }
+
+    /// The live (queued or running) job `id`.
+    fn job(&self, id: u64) -> Option<Arc<Job>> {
+        match self.tracked(id)? {
+            Tracked::Live(job) => Some(job),
+            Tracked::Finished(_) => None,
+        }
     }
 
     fn add_job(&self, job: Arc<Job>) {
         self.jobs
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .insert(job.id, job);
+            .insert(job.id, Tracked::Live(job));
+    }
+
+    fn add_finished(&self, id: u64, job: Arc<FinishedJob>) {
+        self.jobs
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .insert(id, Tracked::Finished(job));
+    }
+
+    /// The record a job answered from the run cache finishes with: shared
+    /// by every such job of `fp`, so a hit adds only its table entry.
+    fn cached_record(&self, fp: u64, workload: &str, report: Arc<SimReport>) -> Arc<FinishedJob> {
+        let mut records = self.cached.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some(record) = records.get(&fp) {
+            let same_report = matches!(&record.state, JobState::Done(r) if Arc::ptr_eq(r, &report));
+            if same_report && &*record.workload == workload {
+                return Arc::clone(record);
+            }
+        }
+        let record = Arc::new(FinishedJob {
+            fingerprint: fp,
+            workload: workload.into(),
+            coalesced: 0,
+            state: JobState::Done(report),
+            events: Box::default(),
+        });
+        records.insert(fp, Arc::clone(&record));
+        record
     }
 
     fn remove_job(&self, id: u64) {
         self.jobs
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .remove(&id);
+            .remove(id);
     }
 
     fn alloc_id(&self) -> u64 {
@@ -334,14 +442,16 @@ impl Daemon {
         }
         // The scheduler joined the pool before exiting, so every job is
         // now terminal; close any event streams of jobs that never ran.
-        for job in self
+        for tracked in self
             .state
             .jobs
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .values()
         {
-            job.events.close();
+            if let Tracked::Live(job) = tracked {
+                job.events.close();
+            }
         }
         self.http_handle.stop();
         match self.http.take() {
@@ -363,7 +473,8 @@ pub fn spawn(opts: ServerOptions) -> std::io::Result<Daemon> {
         None => Journal::none(),
     };
     let state = Arc::new(State {
-        jobs: Mutex::new(HashMap::new()),
+        jobs: Mutex::new(JobTable::default()),
+        cached: Mutex::new(HashMap::new()),
         next_id: AtomicU64::new(0),
         inflight: Mutex::new(HashMap::new()),
         queue: JobQueue::new(opts.queue_capacity).with_aging(opts.aging_pops),
@@ -442,25 +553,24 @@ fn recover_jobs(state: &Arc<State>, path: &std::path::Path) -> std::io::Result<(
     }
     state.next_id.store(rec.max_id, Ordering::Relaxed);
     for r in rec.jobs {
-        let job = Arc::new(Job::new(r.id, r.spec, r.fingerprint));
-        match r.outcome {
-            RecoveredOutcome::Done => match runcache::lookup(r.fingerprint) {
-                Some(report) => {
-                    job.set_state(JobState::Done(Box::new(report)));
-                    job.events.close();
-                }
-                // Result evicted from the cache: re-run (deterministic,
-                // so the client sees the identical report).
-                None => requeue_recovered(state, &job),
-            },
-            RecoveredOutcome::Failed(err) => {
-                job.set_state(JobState::Failed(err));
-                job.events.close();
+        let job = Job::new(r.id, r.spec, r.fingerprint);
+        let finished = match r.outcome {
+            // A result evicted from the cache re-runs (deterministic, so
+            // the client sees the identical report).
+            RecoveredOutcome::Done => runcache::lookup(r.fingerprint)
+                .map(|report| state.cached_record(r.fingerprint, &job.spec.workload, report)),
+            RecoveredOutcome::Failed(err) => Some(Arc::new(job.finished(JobState::Failed(err)))),
+            RecoveredOutcome::Unfinished => None,
+        };
+        match finished {
+            Some(finished) => state.add_finished(r.id, finished),
+            None => {
+                let job = Arc::new(job);
+                requeue_recovered(state, &job);
+                state.add_job(job);
             }
-            RecoveredOutcome::Unfinished => requeue_recovered(state, &job),
         }
         state.counters.recovered.fetch_add(1, Ordering::Relaxed);
-        state.add_job(job);
     }
     Ok(())
 }
@@ -560,24 +670,23 @@ fn execute(state: &Arc<State>, job: &Arc<Job>, queue_wait_us: u64) {
         let t0 = Instant::now();
         let report = sim.run();
         run_us.store(elapsed_us(t0), Ordering::Relaxed);
+        let report = Arc::new(report);
         let t0 = Instant::now();
-        runcache::insert(fp, &report);
+        runcache::insert(fp, Arc::clone(&report));
         serialize_us.store(elapsed_us(t0), Ordering::Relaxed);
         report
     }));
-    let outcome = match result {
+    let (outcome, terminal) = match result {
         Ok(report) => {
             state.journal.done(job.id);
             state.counters.completed.fetch_add(1, Ordering::Relaxed);
-            job.set_state(JobState::Done(Box::new(report)));
-            Outcome::Done
+            (Outcome::Done, JobState::Done(report))
         }
         Err(payload) => {
             let msg = esteem_par::panic_message(payload.as_ref());
             state.journal.fail(job.id, &msg);
             state.counters.failed.fetch_add(1, Ordering::Relaxed);
-            job.set_state(JobState::Failed(msg));
-            Outcome::Failed
+            (Outcome::Failed, JobState::Failed(msg))
         }
     };
     let cache_lookup_us = cache_lookup_us.load(Ordering::Relaxed);
@@ -608,11 +717,13 @@ fn execute(state: &Arc<State>, job: &Arc<Job>, queue_wait_us: u64) {
     if outcome == Outcome::Failed {
         dump_flight_recorder(state);
     }
-    state
-        .inflight
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .remove(&fp);
+    {
+        // Under the inflight lock, so no submit coalesces onto the job
+        // after its coalesced count is copied into the compact record.
+        let mut inflight = state.inflight.lock().unwrap_or_else(|e| e.into_inner());
+        inflight.remove(&fp);
+        state.add_finished(job.id, Arc::new(job.finished(terminal)));
+    }
     job.events.close();
 }
 
@@ -712,15 +823,15 @@ fn submit(state: &Arc<State>, spec: JobSpec) -> Result<Submitted, Reject> {
 
     // Coalesce + enqueue under the inflight lock, so a duplicate either
     // sees the primary (and coalesces) or races cleanly to be primary.
+    // A job leaves `inflight` under this lock as it becomes terminal, so
+    // a primary found here is still live.
     let mut inflight = state.inflight.lock().unwrap_or_else(|e| e.into_inner());
     if let Some(&primary) = inflight.get(&fp) {
         if let Some(job) = state.job(primary) {
-            if !job.state().is_terminal() {
-                job.coalesced.fetch_add(1, Ordering::Relaxed);
-                state.counters.coalesced.fetch_add(1, Ordering::Relaxed);
-                state.journal.coalesce(primary);
-                return Ok(Submitted::Coalesced(primary));
-            }
+            job.coalesced.fetch_add(1, Ordering::Relaxed);
+            state.counters.coalesced.fetch_add(1, Ordering::Relaxed);
+            state.journal.coalesce(primary);
+            return Ok(Submitted::Coalesced(primary));
         }
         inflight.remove(&fp);
     }
@@ -732,15 +843,13 @@ fn submit(state: &Arc<State>, spec: JobSpec) -> Result<Submitted, Reject> {
     if let Some(report) = hit {
         drop(inflight);
         let id = state.alloc_id();
-        let job = Arc::new(Job::new(id, spec.clone(), fp));
         state.journal.submit(id, None, fp, &spec);
         state.journal.done(id);
-        job.set_state(JobState::Done(Box::new(report)));
-        job.events.close();
         state.counters.submitted.fetch_add(1, Ordering::Relaxed);
         state.counters.cached.fetch_add(1, Ordering::Relaxed);
         state.counters.completed.fetch_add(1, Ordering::Relaxed);
-        state.add_job(job);
+        let record = state.cached_record(fp, &spec.workload, report);
+        state.add_finished(id, record);
         state.metrics.cache_lookup_us.record(cache_lookup_us);
         let e2e_us = state.metrics.now_us().saturating_sub(born_at_us);
         state
@@ -827,20 +936,27 @@ fn reject_response(reject: &Reject) -> HandlerResult {
     }
 }
 
-fn job_status_body(job: &Job) -> String {
-    let state = job.state();
+/// `GET /v1/jobs/{id}`: the same bytes for a live job and its compact
+/// record.
+fn job_status_body(id: u64, tracked: &Tracked) -> String {
+    let (workload, fingerprint, coalesced) = match tracked {
+        Tracked::Live(job) => (
+            &*job.spec.workload,
+            job.fingerprint,
+            job.coalesced.load(Ordering::Relaxed),
+        ),
+        Tracked::Finished(f) => (&*f.workload, f.fingerprint, f.coalesced),
+    };
+    let state = tracked.state();
     let mut m: Vec<(String, Value)> = vec![
-        ("job".into(), job.id.to_value()),
+        ("job".into(), id.to_value()),
         ("state".into(), Value::Str(state.name().into())),
-        ("workload".into(), Value::Str(job.spec.workload.clone())),
+        ("workload".into(), Value::Str(workload.to_owned())),
         (
             "fingerprint".into(),
-            Value::Str(format!("{:016x}", job.fingerprint)),
+            Value::Str(format!("{fingerprint:016x}")),
         ),
-        (
-            "coalesced".into(),
-            job.coalesced.load(Ordering::Relaxed).to_value(),
-        ),
+        ("coalesced".into(), coalesced.to_value()),
     ];
     match state {
         JobState::Done(report) => m.push(("result".into(), report.to_value())),
@@ -929,8 +1045,8 @@ fn status_body(state: &State) -> String {
     let mut by_state = [0u64; 4]; // queued, running, done, failed
     let tracked = {
         let jobs = state.jobs.lock().unwrap_or_else(|e| e.into_inner());
-        for job in jobs.values() {
-            let i = match job.state() {
+        for tracked in jobs.values() {
+            let i = match tracked.state() {
                 JobState::Queued => 0,
                 JobState::Running => 1,
                 JobState::Done(_) => 2,
@@ -1131,16 +1247,21 @@ fn make_handler(state: Arc<State>) -> Handler {
                 }
             }
             ("GET", ["v1", "jobs", id]) => {
-                match id.parse::<u64>().ok().and_then(|i| state.job(i)) {
-                    Some(job) => HandlerResult::Json(200, job_status_body(&job)),
+                let id = id.parse::<u64>().ok();
+                match id.and_then(|i| state.tracked(i).map(|t| (i, t))) {
+                    Some((id, tracked)) => HandlerResult::Json(200, job_status_body(id, &tracked)),
                     None => json_err(404, "no such job"),
                 }
             }
             ("GET", ["v1", "jobs", id, "events"]) => {
-                match id.parse::<u64>().ok().and_then(|i| state.job(i)) {
-                    Some(job) => HandlerResult::Stream(
+                match id.parse::<u64>().ok().and_then(|i| state.tracked(i)) {
+                    Some(Tracked::Live(job)) => HandlerResult::Stream(
                         200,
                         Box::new(EventStream::new(Arc::clone(&job.events))),
+                    ),
+                    Some(Tracked::Finished(f)) => HandlerResult::Stream(
+                        200,
+                        Box::new(f.events.clone().into_vec().into_iter()),
                     ),
                     None => json_err(404, "no such job"),
                 }
@@ -1168,4 +1289,67 @@ fn make_handler(state: Arc<State>) -> Handler {
             _ => json_err(405, "method not allowed"),
         }
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn report() -> Arc<SimReport> {
+        let r = JobSpec {
+            workload: "gamess".into(),
+            instructions: 20_000,
+            warmup: Some(20_000),
+            ..JobSpec::default()
+        }
+        .resolve()
+        .unwrap();
+        Arc::new(Simulator::new(r.cfg, &r.profiles, &r.label).run())
+    }
+
+    /// A terminal job renders the same status body whether the table
+    /// holds it live or as its compact record.
+    #[test]
+    fn compact_record_renders_like_the_live_job() {
+        let spec = JobSpec {
+            workload: "gamess".into(),
+            ..JobSpec::default()
+        };
+        for terminal in [JobState::Done(report()), JobState::Failed("boom".into())] {
+            let job = Arc::new(Job::new(7, spec.clone(), 0xfeed));
+            job.coalesced.store(2, Ordering::Relaxed);
+            job.events.push("{\"interval\":0}".into());
+            job.set_state(terminal.clone());
+            let finished = Arc::new(job.finished(terminal));
+            assert_eq!(
+                job_status_body(7, &Tracked::Live(Arc::clone(&job))),
+                job_status_body(7, &Tracked::Finished(Arc::clone(&finished)))
+            );
+            assert_eq!(*finished.events, job.events.lines());
+        }
+    }
+
+    #[test]
+    fn job_table_is_dense_by_id_and_maps_far_ids() {
+        let record =
+            Arc::new(Job::new(0, JobSpec::default(), 1).finished(JobState::Failed("x".into())));
+        let mut table = JobTable::default();
+        for id in [3, 1, 2] {
+            table.insert(id, Tracked::Finished(Arc::clone(&record)));
+        }
+        let far = 1 << 40;
+        table.insert(far, Tracked::Finished(Arc::clone(&record)));
+        assert_eq!(table.dense.len(), 4, "slots 0..=3");
+        assert_eq!(table.sparse.len(), 1);
+        assert_eq!(table.len(), 4);
+        assert!(table.get(far).is_some() && table.get(2).is_some());
+        assert!(table.get(0).is_none() && table.get(4).is_none());
+        table.insert(2, Tracked::Finished(Arc::clone(&record)));
+        table.remove(2);
+        table.remove(far);
+        table.remove(99);
+        assert_eq!(table.len(), 2);
+        assert_eq!(table.values().count(), 2);
+        assert!(table.get(2).is_none() && table.get(far).is_none());
+    }
 }

@@ -14,6 +14,8 @@
 # of every latency-metrics tap) may rise to the committed
 # BENCH_hotpath.json value divided by the same fraction.
 #
+# Every perfbench run must also finish within 60 s of its window.
+#
 # The committed numbers are machine-dependent, so this is a smoke check:
 # it catches "someone made a workload 2x slower", not 3% drift. Slower
 # machines lower the bar with PERF_GATE_FRACTION (CI sets 0.5).
@@ -45,12 +47,23 @@ cargo build --offline --release --manifest-path perfbench/Cargo.toml
 cargo build --offline --release -p esteem-harness --bin esteem-microbench
 
 # perfbench writes each run's result file, with its host and bounds, to
-# .perfbench/results/ under the working directory.
+# .perfbench/results/ under the working directory. A run whose wall time
+# exceeds its window by more than max_overrun_s failed to stop (a daemon
+# that sits out its drain timeout on every shutdown, say): fail at once,
+# in either mode.
+seconds=5
+max_overrun_s=60
 for w in "${workloads[@]}"; do
   for s in "${seeds[@]}"; do
     echo "perf gate: $w seed $s"
+    started=$SECONDS
     perfbench/target/release/esteem-perfbench --workload "$w" --seed "$s" \
-      --seconds 5 >/dev/null
+      --seconds "$seconds" >/dev/null
+    wall=$((SECONDS - started))
+    if ((wall > seconds + max_overrun_s)); then
+      echo "perf gate: FAIL $w seed $s took ${wall} s of wall time for a ${seconds} s window" >&2
+      exit 1
+    fi
     cp ".perfbench/results/$w-seed$s-trace0.json" "$fresh/"
   done
 done
