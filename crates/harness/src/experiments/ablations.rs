@@ -4,7 +4,7 @@
 //! ratio) next to the paper's setting.
 
 use esteem_core::{AlgoParams, Technique};
-use esteem_par::{parallel_map_with, ParConfig};
+use esteem_par::parallel_map_with;
 use esteem_workloads::benchmark_by_name;
 use serde::{Deserialize, Serialize};
 
@@ -78,12 +78,7 @@ pub fn run(scale: Scale, threads: usize) -> Vec<AblationRow> {
         .iter()
         .flat_map(|a| [(a, false), (a, true)])
         .collect();
-    let cfg = ParConfig {
-        threads,
-        label: "ablations".into(),
-        progress: false,
-    };
-    parallel_map_with(&cfg, &jobs, |&(ablation, off)| {
+    parallel_map_with(threads, &jobs, |&(ablation, off)| {
         let p = benchmark_by_name(ablation.benchmark).expect("known benchmark");
         let mut algo = default_algo(1);
         algo.interval_cycles = scale.interval_cycles();

@@ -4,7 +4,7 @@
 //! published classes (miss rates, IPC range, footprints).
 
 use esteem_core::{Simulator, Technique};
-use esteem_par::{parallel_map_with, ParConfig};
+use esteem_par::parallel_map_with;
 use esteem_workloads::all_benchmarks;
 use serde::{Deserialize, Serialize};
 
@@ -29,12 +29,7 @@ pub struct CalibRow {
 
 pub fn run(scale: Scale, threads: usize) -> Vec<CalibRow> {
     let benches = all_benchmarks();
-    let cfg = ParConfig {
-        threads,
-        label: "calibration".into(),
-        progress: false,
-    };
-    parallel_map_with(&cfg, &benches, |b| {
+    parallel_map_with(threads, &benches, |b| {
         let mut algo = default_algo(1);
         algo.interval_cycles = scale.interval_cycles();
         let base = Simulator::single(single_core_cfg(Technique::Baseline, scale, 50.0), b).run();

@@ -10,7 +10,7 @@
 
 use esteem_core::Technique;
 use esteem_energy::metrics;
-use esteem_par::{parallel_map_with, ParConfig};
+use esteem_par::parallel_map_with;
 use esteem_workloads::benchmark_by_name;
 use serde::{Deserialize, Serialize};
 
@@ -46,12 +46,7 @@ pub fn run(scale: Scale, threads: usize, benchmarks: &[&str]) -> Vec<EccRow> {
         algo.interval_cycles = scale.interval_cycles();
         jobs.push((b.to_owned(), Technique::Esteem(algo), "ESTEEM".into()));
     }
-    let cfg = ParConfig {
-        threads,
-        label: "ecc sweep".into(),
-        progress: false,
-    };
-    parallel_map_with(&cfg, &jobs, |(bench, tech, label)| {
+    parallel_map_with(threads, &jobs, |(bench, tech, label)| {
         let p = benchmark_by_name(bench).expect("known benchmark");
         let ps = std::slice::from_ref(&p);
         // Memoized: the 13 sweep points per benchmark share one baseline.

@@ -6,7 +6,7 @@
 
 use esteem_core::Technique;
 use esteem_energy::metrics;
-use esteem_par::{parallel_map_with, ParConfig};
+use esteem_par::parallel_map_with;
 use esteem_workloads::{all_benchmarks, dual_core_mixes, BenchmarkProfile};
 use serde::{Deserialize, Serialize};
 
@@ -122,12 +122,7 @@ pub fn run_single_core(
         .into_iter()
         .filter(|b| subset.is_none_or(|s| s.contains(&b.name)))
         .collect();
-    let cfg = ParConfig {
-        threads,
-        label: format!("single-core @{retention_us}us"),
-        progress: false,
-    };
-    let rows = parallel_map_with(&cfg, &benches, |b| {
+    let rows = parallel_map_with(threads, &benches, |b| {
         run_workload(1, scale, retention_us, std::slice::from_ref(b), b.name)
     });
     let avg = averages(&rows);
@@ -152,12 +147,7 @@ pub fn run_dual_core(
         .into_iter()
         .filter(|m| subset.is_none_or(|s| s.contains(&m.acronym)))
         .collect();
-    let cfg = ParConfig {
-        threads,
-        label: format!("dual-core @{retention_us}us"),
-        progress: false,
-    };
-    let rows = parallel_map_with(&cfg, &mixes, |m| {
+    let rows = parallel_map_with(threads, &mixes, |m| {
         let profiles = [m.a.clone(), m.b.clone()];
         run_workload(2, scale, retention_us, &profiles, m.acronym)
     });

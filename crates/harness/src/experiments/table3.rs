@@ -10,7 +10,7 @@
 
 use esteem_core::{SystemConfig, Technique};
 use esteem_energy::metrics;
-use esteem_par::{parallel_map_with, ParConfig};
+use esteem_par::parallel_map_with;
 use esteem_workloads::{all_benchmarks, dual_core_mixes, BenchmarkProfile};
 use serde::{Deserialize, Serialize};
 
@@ -215,12 +215,7 @@ pub fn run(cores: u32, scale: Scale, threads: usize, subset: Option<&[&str]>) ->
     let jobs: Vec<(usize, usize)> = (0..variants.len())
         .flat_map(|vi| (0..workloads.len()).map(move |wi| (vi, wi)))
         .collect();
-    let cfg = ParConfig {
-        threads,
-        label: format!("table3 {cores}-core"),
-        progress: false,
-    };
-    let cells = parallel_map_with(&cfg, &jobs, |&(vi, wi)| {
+    let cells = parallel_map_with(threads, &jobs, |&(vi, wi)| {
         let (label, profiles) = &workloads[wi];
         run_cell(cores, scale, &variants[vi], profiles, label)
     });

@@ -6,7 +6,7 @@
 //! lives *above* the simulator, in this crate.
 //!
 //! The design intentionally avoids a global thread pool: every call to
-//! [`parallel_map`] spins up scoped workers (via [`std::thread::scope`]) that
+//! [`parallel_map_with`] spins up scoped workers (via [`std::thread::scope`]) that
 //! pull indices from a shared atomic cursor (dynamic self-scheduling, which
 //! balances the very uneven run times of different benchmark simulations)
 //! and write results into pre-allocated slots, preserving input order.
@@ -15,23 +15,17 @@
 //! * Output order == input order, independent of thread count.
 //! * A job panic is propagated to the caller (no lost results, no hangs).
 //! * `threads == 1` degenerates to a plain sequential loop (no spawn), which
-//!   makes `parallel_map` safe to call from within already-parallel code.
+//!   makes `parallel_map_with` safe to call from within already-parallel
+//!   code.
 
 mod pool;
-mod progress;
-mod worker;
 
-pub use pool::{
-    panic_message, parallel_map, parallel_map_with, try_parallel_map, try_parallel_map_with,
-    JobPanic, ParConfig,
-};
-pub use progress::Progress;
-pub use worker::{PoolMetrics, SubmitError, WorkerPool};
+pub use pool::{panic_message, parallel_map_with, try_parallel_map_with, JobPanic};
 
 use std::num::NonZeroUsize;
 
 /// Number of worker threads to use by default: the machine parallelism,
-/// clamped to the number of jobs by [`parallel_map`] at call time.
+/// clamped to the number of jobs by [`parallel_map_with`] at call time.
 ///
 /// Honors the `ESTEEM_THREADS` environment variable when set (useful to make
 /// CI runs or determinism tests single-threaded without code changes).

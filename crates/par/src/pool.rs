@@ -3,8 +3,6 @@
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use crate::Progress;
-
 /// One job's caught panic: the input index it was processing and the
 /// panic payload rendered as text.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -33,29 +31,9 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Configuration for [`parallel_map_with`].
-#[derive(Debug, Clone)]
-pub struct ParConfig {
-    /// Worker thread count. Clamped to the job count; `1` runs inline.
-    pub threads: usize,
-    /// Optional human-readable label used by progress reporting.
-    pub label: String,
-    /// Emit per-job completion ticks to stderr when `true`.
-    pub progress: bool,
-}
-
-impl Default for ParConfig {
-    fn default() -> Self {
-        Self {
-            threads: crate::default_threads(),
-            label: String::new(),
-            progress: false,
-        }
-    }
-}
-
-/// Applies `f` to every element of `items` in parallel and returns the
-/// results **in input order**.
+/// Applies `f` to every element of `items` on up to `threads` workers
+/// and returns the results **in input order**. `threads` is clamped to
+/// the job count; `1` runs inline.
 ///
 /// Jobs are self-scheduled: workers repeatedly claim the next unclaimed
 /// index from an atomic cursor. This gives good load balance when job
@@ -64,25 +42,15 @@ impl Default for ParConfig {
 /// # Panics
 /// Propagates the panic of any job to the caller — but only after every
 /// other job has finished (a panicking simulation no longer aborts the
-/// rest of the sweep mid-flight; use [`try_parallel_map`] to observe
+/// rest of the sweep mid-flight; use [`try_parallel_map_with`] to observe
 /// per-item failures without panicking).
-pub fn parallel_map<T, R, F>(items: &[T], f: F) -> Vec<R>
+pub fn parallel_map_with<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    parallel_map_with(&ParConfig::default(), items, f)
-}
-
-/// [`parallel_map`] with explicit configuration.
-pub fn parallel_map_with<T, R, F>(cfg: &ParConfig, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let results = try_parallel_map_with(cfg, items, f);
+    let results = try_parallel_map_with(threads, items, f);
     results
         .into_iter()
         .map(|r| match r {
@@ -92,33 +60,18 @@ where
         .collect()
 }
 
-/// Panic-isolating [`parallel_map`]: each job runs under
+/// Panic-isolating [`parallel_map_with`]: each job runs under
 /// `catch_unwind`, so one panicking item yields an `Err` slot while
 /// every other item still completes and returns. Output order equals
 /// input order.
-pub fn try_parallel_map<T, R, F>(items: &[T], f: F) -> Vec<Result<R, JobPanic>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    try_parallel_map_with(&ParConfig::default(), items, f)
-}
-
-/// [`try_parallel_map`] with explicit configuration.
-pub fn try_parallel_map_with<T, R, F>(
-    cfg: &ParConfig,
-    items: &[T],
-    f: F,
-) -> Vec<Result<R, JobPanic>>
+pub fn try_parallel_map_with<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<Result<R, JobPanic>>
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
     let n = items.len();
-    let threads = cfg.threads.max(1).min(n.max(1));
-    let progress = Progress::new(&cfg.label, n, cfg.progress);
+    let threads = threads.max(1).min(n.max(1));
     let run_one = |i: usize| -> Result<R, JobPanic> {
         std::panic::catch_unwind(AssertUnwindSafe(|| f(&items[i]))).map_err(|payload| JobPanic {
             index: i,
@@ -127,13 +80,7 @@ where
     };
 
     if threads <= 1 || n <= 1 {
-        return (0..n)
-            .map(|i| {
-                let r = run_one(i);
-                progress.tick();
-                r
-            })
-            .collect();
+        return (0..n).map(run_one).collect();
     }
 
     // Pre-allocated result slots; each index is written exactly once, by
@@ -158,7 +105,6 @@ where
                 let cursor = &cursor;
                 let run_one = &run_one;
                 let slots_ptr = &slots_ptr;
-                let progress = &progress;
                 scope.spawn(move || loop {
                     let i = cursor.fetch_add(1, Ordering::Relaxed);
                     if i >= n {
@@ -171,7 +117,6 @@ where
                     unsafe {
                         *slots_ptr.0.add(i) = Some(r);
                     }
-                    progress.tick();
                 });
             }
         });
@@ -190,7 +135,7 @@ mod tests {
     #[test]
     fn preserves_order() {
         let items: Vec<u64> = (0..1000).collect();
-        let out = parallel_map(&items, |&x| x * 2);
+        let out = parallel_map_with(crate::default_threads(), &items, |&x| x * 2);
         assert_eq!(out, (0..1000).map(|x| x * 2).collect::<Vec<_>>());
     }
 
@@ -199,11 +144,7 @@ mod tests {
         let items: Vec<u64> = (0..257).collect();
         let expected: Vec<u64> = items.iter().map(|x| x * x + 1).collect();
         for threads in [1usize, 2, 3, 8, 64] {
-            let cfg = ParConfig {
-                threads,
-                ..ParConfig::default()
-            };
-            let out = parallel_map_with(&cfg, &items, |&x| x * x + 1);
+            let out = parallel_map_with(threads, &items, |&x| x * x + 1);
             assert_eq!(out, expected, "threads={threads}");
         }
     }
@@ -211,14 +152,14 @@ mod tests {
     #[test]
     fn empty_input() {
         let items: Vec<u32> = vec![];
-        let out = parallel_map(&items, |&x| x);
+        let out = parallel_map_with(crate::default_threads(), &items, |&x| x);
         assert!(out.is_empty());
     }
 
     #[test]
     fn single_item_runs_inline() {
         let items = vec![41u32];
-        let out = parallel_map(&items, |&x| x + 1);
+        let out = parallel_map_with(crate::default_threads(), &items, |&x| x + 1);
         assert_eq!(out, vec![42]);
     }
 
@@ -226,7 +167,7 @@ mod tests {
     fn uneven_job_durations_balance() {
         // Jobs with wildly different costs must still produce ordered output.
         let items: Vec<u64> = (0..64).collect();
-        let out = parallel_map(&items, |&x| {
+        let out = parallel_map_with(crate::default_threads(), &items, |&x| {
             let spins = if x % 7 == 0 { 200_000 } else { 10 };
             let mut acc = x;
             for i in 0..spins {
@@ -243,7 +184,7 @@ mod tests {
     #[should_panic]
     fn job_panic_propagates() {
         let items: Vec<u32> = (0..16).collect();
-        let _ = parallel_map(&items, |&x| {
+        let _ = parallel_map_with(crate::default_threads(), &items, |&x| {
             if x == 7 {
                 panic!("boom");
             }
@@ -257,11 +198,7 @@ mod tests {
         // sweep; now it must flag only its own slot.
         let items: Vec<u32> = (0..64).collect();
         for threads in [1usize, 4] {
-            let cfg = ParConfig {
-                threads,
-                ..ParConfig::default()
-            };
-            let out = try_parallel_map_with(&cfg, &items, |&x| {
+            let out = try_parallel_map_with(threads, &items, |&x| {
                 if x % 13 == 7 {
                     panic!("boom at {x}");
                 }
@@ -287,7 +224,7 @@ mod tests {
         // not aborted mid-flight by an unwinding worker.
         let items: Vec<u32> = (0..32).collect();
         let caught = std::panic::catch_unwind(|| {
-            parallel_map(&items, |&x| {
+            parallel_map_with(crate::default_threads(), &items, |&x| {
                 if x == 3 {
                     panic!("item three");
                 }
@@ -309,11 +246,7 @@ mod tests {
     #[test]
     fn more_threads_than_items() {
         let items: Vec<u32> = (0..3).collect();
-        let cfg = ParConfig {
-            threads: 32,
-            ..ParConfig::default()
-        };
-        let out = parallel_map_with(&cfg, &items, |&x| x + 1);
+        let out = parallel_map_with(32, &items, |&x| x + 1);
         assert_eq!(out, vec![1, 2, 3]);
     }
 }

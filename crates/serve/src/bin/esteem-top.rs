@@ -259,11 +259,10 @@ fn render(addr: &str, status: &Value) -> String {
     ));
     let workers = get(status, "workers").cloned().unwrap_or(Value::Null);
     out.push_str(&format!(
-        "workers {} · mean {:.0}% busy · {} active · {} pool-queued\n",
+        "workers {} · mean {:.0}% busy · {} active\n",
         get_u64(&workers, "count"),
         get_f64(&workers, "utilization") * 100.0,
         get_u64(&workers, "active"),
-        get_u64(&workers, "pool_queue"),
     ));
     if let Some(per) = get(&workers, "per_worker").and_then(|v| v.as_seq()) {
         for (i, w) in per.iter().enumerate() {

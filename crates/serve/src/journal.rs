@@ -2,8 +2,9 @@
 //! daemon and the `esteem-coord` coordinator.
 //!
 //! One JSON object per line, written at every job state transition and
-//! flushed to the OS per record. A record therefore survives a crash of
-//! the process, but not a power loss: records are not fsync'd.
+//! flushed to the OS per record (a run-cache hit's submit and done lines
+//! go out together, in one write). A record therefore survives a crash
+//! of the process, but not a power loss: records are not fsync'd.
 //!
 //! ```text
 //! {"event":"submit","job":3,"fingerprint":"00ab..","spec":{..},"t":1754500000}
@@ -85,14 +86,24 @@ impl Journal {
         self.path.as_deref()
     }
 
-    fn record(&self, mut fields: Vec<(String, Value)>) {
+    fn record(&self, fields: Vec<(String, Value)>) {
+        self.records([fields]);
+    }
+
+    /// Appends records as consecutive lines under one lock and one flush.
+    fn records<const N: usize>(&self, records: [Vec<(String, Value)>; N]) {
         let Some(file) = &self.file else { return };
-        fields.push(("t".into(), epoch_secs().to_value()));
-        let line = serde_json::to_string(&Value::Map(fields)).expect("journal record serializes");
+        let t = epoch_secs();
+        let mut text = String::new();
+        for mut fields in records {
+            fields.push(("t".into(), t.to_value()));
+            text += &serde_json::to_string(&Value::Map(fields)).expect("journal record serializes");
+            text.push('\n');
+        }
         let mut w = file.lock().unwrap_or_else(|e| e.into_inner());
-        // Flush per record: the journal exists for crash recovery, so a
+        // Flush per call: the journal exists for crash recovery, so a
         // record buffered in userspace is a record lost.
-        let _ = writeln!(w, "{line}");
+        let _ = w.write_all(text.as_bytes());
         let _ = w.flush();
     }
 
@@ -121,19 +132,17 @@ impl Journal {
     /// Records a submitted job; `sweep` is the coordinator sweep it
     /// belongs to, if any.
     pub fn submit(&self, job: u64, sweep: Option<u64>, fingerprint: u64, spec: &JobSpec) {
-        let mut fields = vec![
-            ("event".into(), Value::Str("submit".into())),
-            ("job".into(), job.to_value()),
-        ];
-        if let Some(s) = sweep {
-            fields.push(("sweep".into(), s.to_value()));
-        }
-        fields.push((
-            "fingerprint".into(),
-            Value::Str(format!("{fingerprint:016x}")),
-        ));
-        fields.push(("spec".into(), spec.to_value()));
-        self.record(fields);
+        self.record(submit_fields(job, sweep, fingerprint, spec));
+    }
+
+    /// Records a job answered from the run cache: its `submit` and
+    /// `done` lines, in one write. A crash that tears the `done` line
+    /// leaves the submit alone, which replays as unfinished (re-queued).
+    pub fn cached(&self, job: u64, fingerprint: u64, spec: &JobSpec) {
+        self.records([
+            submit_fields(job, None, fingerprint, spec),
+            done_fields(job),
+        ]);
     }
 
     /// Records that a duplicate submission coalesced onto job `into`.
@@ -163,10 +172,7 @@ impl Journal {
     }
 
     pub fn done(&self, job: u64) {
-        self.record(vec![
-            ("event".into(), Value::Str("done".into())),
-            ("job".into(), job.to_value()),
-        ]);
+        self.record(done_fields(job));
     }
 
     pub fn fail(&self, job: u64, error: &str) {
@@ -186,6 +192,34 @@ impl Journal {
             ("max_id".into(), max_id.to_value()),
         ]);
     }
+}
+
+fn submit_fields(
+    job: u64,
+    sweep: Option<u64>,
+    fingerprint: u64,
+    spec: &JobSpec,
+) -> Vec<(String, Value)> {
+    let mut fields = vec![
+        ("event".into(), Value::Str("submit".into())),
+        ("job".into(), job.to_value()),
+    ];
+    if let Some(s) = sweep {
+        fields.push(("sweep".into(), s.to_value()));
+    }
+    fields.push((
+        "fingerprint".into(),
+        Value::Str(format!("{fingerprint:016x}")),
+    ));
+    fields.push(("spec".into(), spec.to_value()));
+    fields
+}
+
+fn done_fields(job: u64) -> Vec<(String, Value)> {
+    vec![
+        ("event".into(), Value::Str("done".into())),
+        ("job".into(), job.to_value()),
+    ]
 }
 
 /// Outcome of one journaled job after replay.
@@ -570,6 +604,50 @@ mod tests {
             elapsed < std::time::Duration::from_secs(15),
             "replaying {JOBS} jobs took {elapsed:?}"
         );
+    }
+
+    /// A run-cache hit's pair of lines reads byte-for-byte like a
+    /// separate submit and done, and replays as done; torn inside its
+    /// done line, the submit alone replays as unfinished.
+    #[test]
+    fn cached_hit_pair_replays_and_its_torn_tail_requeues() {
+        let strip_t = |text: &str| -> Vec<String> {
+            text.lines()
+                .map(|l| l[..l.rfind(",\"t\":").unwrap()].to_owned())
+                .collect()
+        };
+        let pair = tmp("cached-pair.jsonl");
+        let separate = tmp("cached-separate.jsonl");
+        let _ = std::fs::remove_file(&pair);
+        let _ = std::fs::remove_file(&separate);
+        Journal::open(&pair).unwrap().cached(4, 0x4, &spec(4));
+        let j = Journal::open(&separate).unwrap();
+        j.submit(4, None, 0x4, &spec(4));
+        j.done(4);
+        drop(j);
+        let text = std::fs::read_to_string(&pair).unwrap();
+        assert_eq!(
+            strip_t(&text),
+            strip_t(&std::fs::read_to_string(&separate).unwrap())
+        );
+        let _ = std::fs::remove_file(&separate);
+
+        let rec = recover(&pair).unwrap();
+        assert_eq!(rec.skipped_lines, 0);
+        assert_eq!(rec.max_id, 4);
+        assert_eq!(rec.jobs.len(), 1);
+        assert_eq!(rec.jobs[0].spec, spec(4));
+        assert_eq!(rec.jobs[0].fingerprint, 0x4);
+        assert_eq!(rec.jobs[0].outcome, RecoveredOutcome::Done);
+
+        // Crash mid-write: the done line is cut short.
+        let cut = text.rfind("\"job\"").unwrap();
+        std::fs::write(&pair, &text[..cut]).unwrap();
+        let rec = recover(&pair).unwrap();
+        let _ = std::fs::remove_file(&pair);
+        assert_eq!(rec.skipped_lines, 1);
+        assert_eq!(rec.jobs.len(), 1);
+        assert_eq!(rec.jobs[0].outcome, RecoveredOutcome::Unfinished);
     }
 
     #[test]

@@ -16,13 +16,13 @@
 //!   buckets and SLO shedding on windowed queue-wait p95, with
 //!   `Retry-After` hints on every shed.
 //! * [`journal`] — crash-safe append-only JSONL journal + recovery.
-//! * [`server`] — the daemon: scheduler thread, resident
-//!   [`esteem_par::WorkerPool`], run-cache-backed dedupe (identical
-//!   in-flight configs coalesce onto one execution), panic isolation,
-//!   and the JSON API.
+//! * [`server`] — the daemon: resident worker threads that pop the
+//!   [`queue`] directly, run-cache-backed dedupe (identical in-flight
+//!   configs coalesce onto one execution), panic isolation, and the
+//!   JSON API.
 //! * [`observe`] — stage-latency histograms (submit, queue wait, cache
-//!   lookup, run, serialize, end-to-end by outcome and client) and the
-//!   bounded flight recorder behind `/v1/flight-recorder` and the
+//!   lookup, run, serialize, end-to-end by outcome and client), worker
+//!   utilization, and the bounded flight recorder behind `/v1/flight-recorder` and the
 //!   panic crash dump.
 //! * [`client`] — a minimal blocking HTTP client used by
 //!   `esteem-client`, `esteem-top`, and the end-to-end tests; its

@@ -8,6 +8,9 @@
 //! broken out by outcome (`done`/`failed`/`cached`) and, with bounded
 //! cardinality, by submitting client.
 //!
+//! [`WorkerStats`] records what the resident workers do: each job's
+//! execution time and each worker's busy share of wall time.
+//!
 //! [`FlightRecorder`] keeps the last N per-job stage timing records in
 //! a fixed-size ring. Together with the tracer's non-destructive event
 //! snapshot it backs `GET /v1/flight-recorder` and the crash dump the
@@ -16,6 +19,7 @@
 //! happened" without unbounded memory.
 
 use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -62,7 +66,7 @@ pub struct ServeMetrics {
     /// Wall time of the `POST /v1/jobs` handler (resolve + dedupe +
     /// enqueue), all submissions including rejected and shed.
     pub submit_us: Histogram,
-    /// Queue push to scheduler pop.
+    /// Queue push to worker start.
     pub queue_wait_us: Histogram,
     /// Run-cache lookup inside the worker.
     pub cache_lookup_us: Histogram,
@@ -157,6 +161,94 @@ impl StatsSource for ServeMetrics {
         for (client, snap) in clients {
             out.histogram(&labeled("client_e2e_us", &[("client", &client)]), snap);
         }
+    }
+}
+
+/// Activity of the daemon's resident workers, exported under `pool/` in
+/// `/metrics` and as the `/v1/status` `workers` block. Recording is
+/// lock-free.
+#[derive(Debug)]
+pub struct WorkerStats {
+    /// Wall time of each executed job, microseconds.
+    task_us: Histogram,
+    /// Cumulative busy microseconds per worker.
+    busy_us: Box<[AtomicU64]>,
+    /// Jobs executing right now.
+    active: AtomicU64,
+    /// Jobs executed to a terminal state.
+    completed: AtomicU64,
+    /// Utilization denominator: construction time.
+    epoch: Instant,
+}
+
+impl WorkerStats {
+    pub fn new(workers: usize) -> Self {
+        Self {
+            task_us: Histogram::new(),
+            busy_us: (0..workers).map(|_| AtomicU64::new(0)).collect(),
+            active: AtomicU64::new(0),
+            completed: AtomicU64::new(0),
+            epoch: Instant::now(),
+        }
+    }
+
+    /// Runs `task` as one job of worker `worker`: counted active while
+    /// it runs, then its duration is recorded.
+    pub fn run(&self, worker: usize, task: impl FnOnce()) {
+        self.active.fetch_add(1, Ordering::Relaxed);
+        let t0 = Instant::now();
+        task();
+        let us = t0.elapsed().as_micros().min(u64::MAX as u128) as u64;
+        self.task_us.record(us);
+        self.busy_us[worker].fetch_add(us, Ordering::Relaxed);
+        self.completed.fetch_add(1, Ordering::Relaxed);
+        self.active.fetch_sub(1, Ordering::Relaxed);
+    }
+
+    pub fn workers(&self) -> usize {
+        self.busy_us.len()
+    }
+
+    /// Jobs executing right now.
+    pub fn active(&self) -> u64 {
+        self.active.load(Ordering::Relaxed)
+    }
+
+    /// Job execution-time distribution so far.
+    pub fn task_us(&self) -> HistogramSnapshot {
+        self.task_us.snapshot()
+    }
+
+    /// Fraction of wall time worker `i` spent running jobs since the
+    /// daemon started (clamped to 1.0 against timer skew).
+    pub fn worker_utilization(&self, i: usize) -> f64 {
+        let elapsed = self.epoch.elapsed().as_micros().max(1) as f64;
+        (self.busy_us[i].load(Ordering::Relaxed) as f64 / elapsed).min(1.0)
+    }
+
+    /// Mean utilization across all workers.
+    pub fn mean_utilization(&self) -> f64 {
+        if self.busy_us.is_empty() {
+            return 0.0;
+        }
+        let sum: f64 = (0..self.workers())
+            .map(|i| self.worker_utilization(i))
+            .sum();
+        sum / self.workers() as f64
+    }
+}
+
+impl StatsSource for WorkerStats {
+    fn collect(&self, out: &mut Scope<'_>) {
+        out.gauge("active", self.active() as f64);
+        out.counter("completed", self.completed.load(Ordering::Relaxed));
+        out.histogram("task_us", self.task_us());
+        out.gauge("utilization", self.mean_utilization());
+        out.scope("workers", |s| {
+            for i in 0..self.workers() {
+                s.gauge(&format!("{i}/utilization"), self.worker_utilization(i));
+            }
+        });
     }
 }
 
@@ -301,6 +393,33 @@ mod tests {
             text.contains("serve/stage/e2e_us_bucket{outcome=\"failed\",le="),
             "labeled buckets missing:\n{text}"
         );
+    }
+
+    #[test]
+    fn worker_stats_record_tasks_and_utilization() {
+        let w = WorkerStats::new(2);
+        for _ in 0..3 {
+            w.run(1, || {
+                std::thread::sleep(std::time::Duration::from_millis(2))
+            });
+        }
+        assert_eq!(w.active(), 0);
+        assert!(w.task_us().quantile(0.5) >= 1_000, "tasks slept ~2ms");
+        assert_eq!(w.worker_utilization(0), 0.0);
+        assert!(w.worker_utilization(1) > 0.0);
+        assert!(w.mean_utilization() <= 1.0);
+        let mut r = esteem_stats::StatsReading::new();
+        r.register("pool", &w);
+        assert_eq!(r.histogram("pool/task_us").unwrap().count(), 3);
+        assert_eq!(r.counter("pool/completed"), 3);
+        let text = r.render_text();
+        for needle in [
+            "pool/active 0.0",
+            "pool/utilization ",
+            "pool/workers/1/utilization ",
+        ] {
+            assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Bounded job queue with priorities, per-client fairness, and
 //! (optional) priority aging.
 //!
-//! Selection order when the scheduler pops:
+//! Selection order when a worker pops:
 //! 1. highest *effective* `priority` first (effective = base priority
 //!    plus one level per [`aging`](JobQueue::with_aging) interval of
 //!    pops the entry has waited through; with aging disabled, effective
@@ -27,6 +27,11 @@
 //! 429 shed. Journal recovery uses [`JobQueue::push_recovered`], which
 //! ignores the cap: jobs already accepted (and journaled) before a crash
 //! must not be dropped by a restart.
+//!
+//! A [paused](JobQueue::set_paused) queue still accepts pushes but pops
+//! nothing until it is resumed or closed; the flag is read under the
+//! queue's own lock, so a worker already blocked in
+//! [`JobQueue::pop_blocking`] cannot slip a job past a pause.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::{Condvar, Mutex};
@@ -86,6 +91,7 @@ struct Inner {
     /// Queued-entry count per client (all priorities); guards `served`
     /// eviction — a client with work in flight keeps its stamp.
     queued: HashMap<String, usize>,
+    paused: bool,
     closed: bool,
 }
 
@@ -119,6 +125,7 @@ impl JobQueue {
                 pops: 0,
                 served: HashMap::new(),
                 queued: HashMap::new(),
+                paused: false,
                 closed: false,
             }),
             ready: Condvar::new(),
@@ -182,12 +189,18 @@ impl JobQueue {
         Ok(())
     }
 
-    /// Blocks until an entry is available or the queue is closed and
-    /// empty (then `None` — the scheduler's exit signal).
+    /// Blocks until an entry is available and the queue is not paused,
+    /// or the queue is closed and empty (then `None` — a worker's exit
+    /// signal). A closed queue drains even while paused.
     pub fn pop_blocking(&self) -> Option<QueuedJob> {
         let mut inner = self.lock();
         loop {
-            if let Some((base, client)) = Self::select(self.aging_step, &inner) {
+            let selected = if inner.paused && !inner.closed {
+                None
+            } else {
+                Self::select(self.aging_step, &inner)
+            };
+            if let Some((base, client)) = selected {
                 let job = Self::take(&mut inner, base, &client);
                 inner.pops += 1;
                 let stamp = inner.pops;
@@ -271,8 +284,14 @@ impl JobQueue {
         }
     }
 
-    /// Closes the queue: pushes fail, pops drain what remains then
-    /// return `None`.
+    /// Pauses (`true`) or resumes (`false`) pops; pushes are unaffected.
+    pub fn set_paused(&self, paused: bool) {
+        self.lock().paused = paused;
+        self.ready.notify_all();
+    }
+
+    /// Closes the queue: pushes fail, pops drain what remains (paused
+    /// or not) then return `None`.
     pub fn close(&self) {
         self.lock().closed = true;
         self.ready.notify_all();
@@ -384,6 +403,32 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(20));
         q.push(job(42, 1, "a")).unwrap();
         assert_eq!(t.join().unwrap().map(|j| j.job_id), Some(42));
+    }
+
+    /// A paused queue pops nothing, even to a worker already blocked in
+    /// `pop_blocking`; `close` still drains it.
+    #[test]
+    fn paused_queue_pops_nothing_until_closed() {
+        let q = std::sync::Arc::new(JobQueue::new(4));
+        let q2 = std::sync::Arc::clone(&q);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let t = std::thread::spawn(move || {
+            while let Some(j) = q2.pop_blocking() {
+                tx.send(j.job_id).unwrap();
+            }
+        });
+        // The worker is (or soon will be) blocked waiting for work.
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        q.set_paused(true);
+        q.push(job(1, 1, "a")).unwrap();
+        q.push(job(2, 9, "a")).unwrap();
+        let wait = std::time::Duration::from_millis(100);
+        assert!(rx.recv_timeout(wait).is_err(), "paused queue popped");
+        assert_eq!(q.len(), 2);
+        q.close();
+        t.join().unwrap();
+        assert_eq!(rx.try_iter().collect::<Vec<_>>(), vec![2, 1]);
+        assert_eq!(q.pop_blocking(), None);
     }
 
     /// Regression (leak): 10k distinct client names must not pin 10k

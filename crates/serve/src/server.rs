@@ -1,13 +1,15 @@
-//! The daemon: HTTP front end + scheduler + resident worker pool.
+//! The daemon: HTTP front end + resident worker threads.
 //!
 //! Data flow: `POST /v1/jobs` resolves the spec, fingerprints it, and
 //! either (a) returns a run-cache hit as an immediately-done job, (b)
 //! coalesces onto an identical in-flight job, or (c) enqueues a new job
-//! in the bounded [`JobQueue`] (full queue => 429 shed). A single
-//! scheduler thread pops in priority/fairness order and hands jobs to a
-//! long-lived [`WorkerPool`]; each execution is panic-isolated, so an
-//! invalid configuration (the simulator validates with asserts) fails
-//! that one job while the daemon keeps serving.
+//! in the bounded [`JobQueue`] (full queue => 429 shed). The queue is
+//! the daemon's only one: each of [`ServerOptions::workers`] threads
+//! pops it in priority/fairness order and runs the job itself, so a job
+//! is either queued (visible to priority, aging and `/v1/status`) or
+//! running on a worker. Each execution is panic-isolated, so an invalid
+//! configuration (the simulator validates with asserts) fails that one
+//! job while the daemon keeps serving.
 //!
 //! Every state transition is journaled; on restart, finished jobs are
 //! re-materialized from the run cache and unfinished ones are re-queued
@@ -23,7 +25,6 @@ use std::time::{Duration, Instant};
 
 use esteem_core::{SimReport, Simulator};
 use esteem_harness::runcache;
-use esteem_par::WorkerPool;
 use esteem_stats::{
     labeled, HistogramSnapshot, IntervalObserver, IntervalSample, Scope, StatsReading, StatsSource,
 };
@@ -35,7 +36,9 @@ use crate::cluster::{ClusterAgent, ClusterConfig};
 use crate::http::{Handler, HandlerResult, HttpCounters, HttpServer};
 use crate::job::{EventStream, FinishedJob, Job, JobSpec, JobState};
 use crate::journal::{recover, Journal, RecoveredOutcome};
-use crate::observe::{flight_dump_value, FlightRecorder, JobTiming, Outcome, ServeMetrics};
+use crate::observe::{
+    flight_dump_value, FlightRecorder, JobTiming, Outcome, ServeMetrics, WorkerStats,
+};
 use crate::queue::{JobQueue, PushError, QueuedJob};
 
 /// Crate version, exported as a `build_info` label and in `/v1/status`.
@@ -60,7 +63,7 @@ pub struct ServerOptions {
     pub queue_capacity: usize,
     /// Append-only journal path (`None` disables crash recovery).
     pub journal_path: Option<PathBuf>,
-    /// Start with the scheduler paused (tests and drain-and-inspect
+    /// Start with the queue paused (tests and drain-and-inspect
     /// operation; resume with [`Daemon::resume`]).
     pub start_paused: bool,
     /// How long shutdown waits for open connections to finish.
@@ -149,27 +152,6 @@ impl StatsSource for ServeCounters {
     }
 }
 
-/// Two-state gate for the scheduler (pause/resume).
-#[derive(Debug, Default)]
-struct Gate {
-    paused: Mutex<bool>,
-    cv: Condvar,
-}
-
-impl Gate {
-    fn set(&self, paused: bool) {
-        *self.paused.lock().unwrap_or_else(|e| e.into_inner()) = paused;
-        self.cv.notify_all();
-    }
-
-    fn wait_open(&self) {
-        let mut paused = self.paused.lock().unwrap_or_else(|e| e.into_inner());
-        while *paused {
-            paused = self.cv.wait(paused).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-}
-
 /// One entry of the job table: a live job, or the compact record that
 /// replaces it once it is terminal.
 #[derive(Clone)]
@@ -251,15 +233,13 @@ struct State {
     journal: Journal,
     counters: ServeCounters,
     tracer: Tracer,
-    gate: Gate,
     /// Signaled by `POST /v1/shutdown`.
     shutdown: (Mutex<bool>, Condvar),
     /// Filled in once the HTTP server is bound (the server owns them).
     http_counters: Mutex<Option<Arc<HttpCounters>>>,
-    /// The resident execution pool (instrumented): shared so the
-    /// scheduler feeds it while `/metrics` and `/v1/status` read queue
-    /// depth, task latency, and per-worker utilization off it.
-    pool: Arc<WorkerPool>,
+    /// Job execution time and per-worker utilization, recorded by the
+    /// workers and read by `/metrics` and `/v1/status`.
+    workers: WorkerStats,
     /// Stage-latency histograms + uptime clock.
     metrics: ServeMetrics,
     /// Recent per-job stage timings for `/v1/flight-recorder`.
@@ -369,7 +349,7 @@ pub struct Daemon {
     addr: SocketAddr,
     state: Arc<State>,
     http: Option<std::thread::JoinHandle<bool>>,
-    scheduler: Option<std::thread::JoinHandle<()>>,
+    workers: Vec<std::thread::JoinHandle<()>>,
     http_handle: crate::http::ServerHandle,
 }
 
@@ -378,14 +358,14 @@ impl Daemon {
         self.addr
     }
 
-    /// Pauses the scheduler: queued jobs stay queued. Running jobs are
-    /// unaffected.
+    /// Pauses the queue: queued jobs, and jobs submitted from now on,
+    /// stay queued. Running jobs are unaffected.
     pub fn pause(&self) {
-        self.state.gate.set(true);
+        self.state.queue.set_paused(true);
     }
 
     pub fn resume(&self) {
-        self.state.gate.set(false);
+        self.state.queue.set_paused(false);
     }
 
     /// Programmatic equivalent of `POST /v1/shutdown`.
@@ -417,9 +397,10 @@ impl Daemon {
     }
 
     /// Blocks until shutdown is requested, then drains: the queue
-    /// closes, every already-accepted job still runs to completion, the
-    /// worker pool joins, and the HTTP listener stops. Returns `true`
-    /// when all connections drained within the timeout.
+    /// closes, every already-accepted job still runs to completion (a
+    /// paused queue drains too), the workers join, and the HTTP
+    /// listener stops. Returns `true` when all connections drained
+    /// within the timeout.
     pub fn wait(mut self) -> bool {
         self.state.wait_shutdown();
         // Leave the cluster first: the coordinator stops routing new
@@ -433,15 +414,13 @@ impl Daemon {
         if let Some(agent) = agent {
             agent.stop_and_deregister();
         }
-        // No new pushes; scheduler drains the queue then exits.
+        // No new pushes; the workers drain the queue then exit.
         self.state.queue.close();
-        // Unpause: a paused scheduler must still drain on shutdown.
-        self.state.gate.set(false);
-        if let Some(s) = self.scheduler.take() {
-            let _ = s.join();
+        for w in self.workers.drain(..) {
+            let _ = w.join();
         }
-        // The scheduler joined the pool before exiting, so every job is
-        // now terminal; close any event streams of jobs that never ran.
+        // Every job is now terminal; close any event streams of jobs
+        // that never ran.
         for tracked in self
             .state
             .jobs
@@ -461,7 +440,7 @@ impl Daemon {
     }
 }
 
-/// Binds, recovers the journal, and starts the scheduler + HTTP threads.
+/// Binds, recovers the journal, and starts the worker + HTTP threads.
 pub fn spawn(opts: ServerOptions) -> std::io::Result<Daemon> {
     let tracer = if opts.trace_events > 0 {
         Tracer::ring(opts.trace_events, TraceFilter::all())
@@ -481,13 +460,9 @@ pub fn spawn(opts: ServerOptions) -> std::io::Result<Daemon> {
         journal,
         counters: ServeCounters::default(),
         tracer,
-        gate: Gate::default(),
         shutdown: (Mutex::new(false), Condvar::new()),
         http_counters: Mutex::new(None),
-        pool: Arc::new(WorkerPool::instrumented(
-            opts.workers,
-            opts.workers.max(1) * 2,
-        )),
+        workers: WorkerStats::new(opts.workers.max(1)),
         metrics: ServeMetrics::new(),
         flight: FlightRecorder::new(opts.flight_recorder_jobs),
         flight_dump: opts.flight_dump.clone(),
@@ -497,17 +472,21 @@ pub fn spawn(opts: ServerOptions) -> std::io::Result<Daemon> {
             .enabled()
             .then(|| AdmissionControl::new(opts.admission.clone())),
     });
-    state.gate.set(opts.start_paused);
+    state.queue.set_paused(opts.start_paused);
 
     if let Some(path) = &opts.journal_path {
         recover_jobs(&state, path)?;
     }
 
-    let sched_state = Arc::clone(&state);
-    let scheduler = std::thread::Builder::new()
-        .name("esteem-serve-sched".into())
-        .spawn(move || scheduler_loop(&sched_state))
-        .expect("spawn scheduler");
+    let workers = (0..state.workers.workers())
+        .map(|i| {
+            let state = Arc::clone(&state);
+            std::thread::Builder::new()
+                .name(format!("esteem-serve-worker-{i}"))
+                .spawn(move || worker_loop(&state, i))
+                .expect("spawn worker thread")
+        })
+        .collect();
 
     let handler = make_handler(Arc::clone(&state));
     let server = HttpServer::bind(&opts.addr, handler)?;
@@ -533,7 +512,7 @@ pub fn spawn(opts: ServerOptions) -> std::io::Result<Daemon> {
         addr,
         state,
         http: Some(http),
-        scheduler: Some(scheduler),
+        workers,
         http_handle,
     })
 }
@@ -591,12 +570,10 @@ fn requeue_recovered(state: &Arc<State>, job: &Arc<Job>) {
     });
 }
 
-fn scheduler_loop(state: &Arc<State>) {
-    loop {
-        state.gate.wait_open();
-        let Some(queued) = state.queue.pop_blocking() else {
-            break;
-        };
+/// One resident worker: pops jobs in priority/fairness order and runs
+/// each to a terminal state, until the queue is closed and drained.
+fn worker_loop(state: &Arc<State>, worker: usize) {
+    while let Some(queued) = state.queue.pop_blocking() {
         let Some(job) = state.job(queued.job_id) else {
             continue;
         };
@@ -608,18 +585,10 @@ fn scheduler_loop(state: &Arc<State>) {
             .saturating_sub(job.born_at_us.load(Ordering::Relaxed));
         state.metrics.queue_wait_us.record(queue_wait_us);
         emit_queue_wait(state, &job);
-        let exec_state = Arc::clone(state);
-        // `submit` blocks when the pool's feed queue is full — that is
-        // fine here: backpressure belongs at the bounded JobQueue, and
-        // the scheduler blocking just leaves jobs queued there.
-        let _ = state
-            .pool
-            .submit(Box::new(move || execute(&exec_state, &job, queue_wait_us)));
+        state
+            .workers
+            .run(worker, || execute(state, &job, queue_wait_us));
     }
-    // Queue closed and drained: wait for in-flight executions. The
-    // workers themselves join when the pool drops with the state (its
-    // Drop closes intake and joins).
-    state.pool.wait_idle();
 }
 
 /// Records the queue-wait span for a job that just left the queue.
@@ -637,7 +606,7 @@ fn emit_queue_wait(state: &Arc<State>, job: &Arc<Job>) {
     });
 }
 
-/// Runs one job on a worker thread with panic isolation, timing each
+/// Runs one job on its worker thread with panic isolation, timing each
 /// pipeline stage for the histograms and the flight recorder.
 fn execute(state: &Arc<State>, job: &Arc<Job>, queue_wait_us: u64) {
     let fp = job.fingerprint;
@@ -843,8 +812,7 @@ fn submit(state: &Arc<State>, spec: JobSpec) -> Result<Submitted, Reject> {
     if let Some(report) = hit {
         drop(inflight);
         let id = state.alloc_id();
-        state.journal.submit(id, None, fp, &spec);
-        state.journal.done(id);
+        state.journal.cached(id, fp, &spec);
         state.counters.submitted.fetch_add(1, Ordering::Relaxed);
         state.counters.cached.fetch_add(1, Ordering::Relaxed);
         state.counters.completed.fetch_add(1, Ordering::Relaxed);
@@ -875,7 +843,7 @@ fn submit(state: &Arc<State>, spec: JobSpec) -> Result<Submitted, Reject> {
     job.queued_at_us
         .store(state.tracer.elapsed_us().to_bits(), Ordering::Relaxed);
     job.born_at_us.store(born_at_us, Ordering::Relaxed);
-    // Publish the job before enqueueing its id: the scheduler may pop
+    // Publish the job before enqueueing its id: a worker may pop
     // the entry the instant `push` releases the queue lock, and it must
     // find the job in the table.
     state.add_job(Arc::clone(&job));
@@ -970,7 +938,7 @@ fn metrics_body(state: &State) -> String {
     let mut r = StatsReading::new();
     r.register("serve", &state.counters);
     r.register("serve", &state.metrics);
-    r.register("pool", &*state.pool);
+    r.register("pool", &state.workers);
     r.scope("serve", |s| {
         s.gauge("queue_depth", state.queue.len() as f64);
         s.gauge(
@@ -1100,30 +1068,16 @@ fn status_body(state: &State) -> String {
             }),
         ),
     ]);
-    let pm = state.pool.metrics();
-    let per_worker: Vec<Value> = pm
-        .map(|m| {
-            (0..m.workers())
-                .map(|i| Value::F64(m.worker_utilization(i)))
-                .collect()
-        })
-        .unwrap_or_default();
+    let w = &state.workers;
+    let per_worker: Vec<Value> = (0..w.workers())
+        .map(|i| Value::F64(w.worker_utilization(i)))
+        .collect();
     let workers = Value::Map(vec![
         ("count".into(), (per_worker.len() as u64).to_value()),
-        ("active".into(), (state.pool.active() as u64).to_value()),
-        (
-            "pool_queue".into(),
-            (state.pool.pending() as u64).to_value(),
-        ),
-        (
-            "utilization".into(),
-            Value::F64(pm.map(|m| m.mean_utilization()).unwrap_or(0.0)),
-        ),
+        ("active".into(), w.active().to_value()),
+        ("utilization".into(), Value::F64(w.mean_utilization())),
         ("per_worker".into(), Value::Seq(per_worker)),
-        (
-            "task_us".into(),
-            pm.map(|m| stage_value(&m.task_us())).unwrap_or(Value::Null),
-        ),
+        ("task_us".into(), stage_value(&w.task_us())),
     ]);
     let m = &state.metrics;
     let stages = Value::Map(vec![

@@ -1063,6 +1063,140 @@ fn priority_aging_promotes_a_starved_job_over_fresh_arrivals() {
     );
 }
 
+// ---------------------------------------------------------------------
+// One job queue: the workers pop it directly, so a job is either queued
+// (under priority, aging and pause) or running on a worker.
+
+/// `/v1/status` as `(jobs.running, workers.count)`.
+fn running_and_workers(addr: &str) -> (u64, u64) {
+    let (status, body) = client::request(addr, "GET", "/v1/status", None).unwrap();
+    assert_eq!(status, 200);
+    let v: Value = serde_json::from_str(&body).unwrap();
+    let m = v.as_map().unwrap();
+    let get = |block: &str, key: &str| {
+        let b = map_get(m, block).unwrap().as_map().unwrap();
+        u64::from_value(map_get(b, key).unwrap()).unwrap()
+    };
+    (get("jobs", "running"), get("workers", "count"))
+}
+
+/// With one worker, a drained burst never shows more than one job
+/// `running`: nothing waits in a second queue already marked running.
+#[test]
+fn running_jobs_never_exceed_the_worker_count() {
+    let daemon = spawn(ServerOptions {
+        workers: 1,
+        queue_capacity: 16,
+        start_paused: true,
+        ..opts()
+    })
+    .unwrap();
+    let addr = daemon.addr().to_string();
+    for i in 0..6 {
+        client::submit(&addr, &quick(0x51E0_0000 + i)).unwrap();
+    }
+    daemon.resume();
+    let completed = || {
+        daemon
+            .counters()
+            .completed
+            .load(std::sync::atomic::Ordering::Relaxed)
+    };
+    let deadline = std::time::Instant::now() + Duration::from_secs(60);
+    let mut polls = 0;
+    while completed() < 6 {
+        let (running, workers) = running_and_workers(&addr);
+        assert_eq!(workers, 1);
+        assert!(
+            running <= workers,
+            "{running} jobs running on {workers} worker(s)"
+        );
+        polls += 1;
+        assert!(std::time::Instant::now() < deadline, "burst never drained");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert!(polls > 0, "the burst drained before the first poll");
+    daemon.shutdown();
+    daemon.wait();
+}
+
+/// A high-priority job submitted while the only worker is busy and
+/// low-priority jobs wait runs next, ahead of every one of them.
+#[test]
+fn higher_priority_job_runs_right_after_the_running_job() {
+    let daemon = spawn(ServerOptions {
+        workers: 1,
+        queue_capacity: 16,
+        start_paused: true,
+        ..opts()
+    })
+    .unwrap();
+    let addr = daemon.addr().to_string();
+    // The first job keeps the worker busy (the full default warm-up);
+    // the rest are quick.
+    let first = client::submit(&addr, &spec(0x51E1_0000)).unwrap().job;
+    for i in 1..6 {
+        client::submit(&addr, &quick(0x51E1_0000 + i)).unwrap();
+    }
+    daemon.resume();
+    let deadline = std::time::Instant::now() + Duration::from_secs(60);
+    while client::poll(&addr, first).unwrap().0 != "running" {
+        assert!(std::time::Instant::now() < deadline, "first job never ran");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let urgent = client::submit(
+        &addr,
+        &JobSpec {
+            priority: 9,
+            ..quick(0x51E1_0010)
+        },
+    )
+    .unwrap()
+    .job;
+    let completed = || {
+        daemon
+            .counters()
+            .completed
+            .load(std::sync::atomic::Ordering::Relaxed)
+    };
+    wait_for(completed, 7, "all seven jobs");
+    let order: Vec<u64> = daemon
+        .flight_recorder()
+        .snapshot()
+        .iter()
+        .map(|t| t.job)
+        .collect();
+    assert_eq!(order.len(), 7, "{order:?}");
+    assert_eq!(order[0], first, "{order:?}");
+    assert_eq!(
+        order[1], urgent,
+        "the priority-9 job must finish right after the running job: {order:?}"
+    );
+    daemon.shutdown();
+    daemon.wait();
+}
+
+/// `pause()` on an idle daemon, whose workers already wait for work,
+/// holds jobs submitted afterwards until `resume()`.
+#[test]
+fn pause_on_an_idle_daemon_holds_new_submissions() {
+    let daemon = spawn(opts()).unwrap();
+    let addr = daemon.addr().to_string();
+    // Let the workers block waiting on the empty queue.
+    std::thread::sleep(Duration::from_millis(50));
+    daemon.pause();
+    let job = client::submit(&addr, &quick(0x51E2_0000)).unwrap().job;
+    let until = std::time::Instant::now() + Duration::from_millis(300);
+    while std::time::Instant::now() < until {
+        assert_eq!(client::poll(&addr, job).unwrap().0, "queued");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    daemon.resume();
+    client::fetch(&addr, job, Duration::from_millis(5)).unwrap();
+    daemon.shutdown();
+    daemon.wait();
+}
+
 /// A short closed-loop load run against a live daemon: completions
 /// happen, latency is measured, and the report carries the server view.
 #[test]

@@ -19,8 +19,7 @@
 //!   offline analyzer;
 //! * [`core`] — ESTEEM itself (Algorithm 1 + interval engine) and the
 //!   multicore system simulator;
-//! * [`par`] — deterministic order-preserving parallel sweeps and the
-//!   long-lived worker pool behind the daemon;
+//! * [`par`] — deterministic order-preserving parallel sweeps;
 //! * [`harness`] — regenerators for every table and figure;
 //! * [`serve`] — the `esteem-serve` job daemon (HTTP API, bounded
 //!   priority queue, run-cache dedupe, crash-safe journal) and its
