@@ -23,11 +23,6 @@
 //!   --advertise <addr>      address other nodes dial for this worker
 //!                           (default: the bound address)
 //!   --heartbeat-ms <ms>     cluster heartbeat interval (default 1000)
-//!   --rate-limit <rps>      per-client token-bucket admission rate
-//!                           (default: no rate limit)
-//!   --burst <n>             token-bucket burst size (default 10)
-//!   --slo-ms <ms>           shed all clients while windowed queue-wait
-//!                           p95 exceeds this (default: no SLO shedding)
 //!   --aging <pops>          queue priority aging: +1 effective priority
 //!                           level per this many pops waited (default 0
 //!                           = off)
@@ -45,7 +40,7 @@ use esteem_serve::ServerOptions;
 const HELP: &str = "usage: esteem-serve [--addr host:port] [--workers n] [--queue-capacity n] \
      [--journal file] [--flight-dump file] [--flight-jobs n] [--compact-journal] \
      [--coordinator addr] [--node-id name] [--advertise addr] [--heartbeat-ms ms] \
-     [--rate-limit rps] [--burst n] [--slo-ms ms] [--aging pops]";
+     [--aging pops]";
 
 fn parse() -> Result<(ServerOptions, bool), String> {
     let mut opts = ServerOptions {
@@ -101,33 +96,6 @@ fn parse() -> Result<(ServerOptions, bool), String> {
                 if heartbeat_ms == 0 {
                     return Err("--heartbeat-ms must be >= 1".into());
                 }
-            }
-            "--rate-limit" => {
-                let rate: f64 = next(&mut it, "--rate-limit")?
-                    .parse()
-                    .map_err(|e| format!("--rate-limit: {e}"))?;
-                if !rate.is_finite() || rate <= 0.0 {
-                    return Err("--rate-limit must be > 0".into());
-                }
-                opts.admission.rate_per_sec = Some(rate);
-            }
-            "--burst" => {
-                let burst: f64 = next(&mut it, "--burst")?
-                    .parse()
-                    .map_err(|e| format!("--burst: {e}"))?;
-                if !burst.is_finite() || burst < 1.0 {
-                    return Err("--burst must be >= 1".into());
-                }
-                opts.admission.burst = burst;
-            }
-            "--slo-ms" => {
-                let slo: u64 = next(&mut it, "--slo-ms")?
-                    .parse()
-                    .map_err(|e| format!("--slo-ms: {e}"))?;
-                if slo == 0 {
-                    return Err("--slo-ms must be >= 1".into());
-                }
-                opts.admission.slo_ms = Some(slo);
             }
             "--aging" => {
                 opts.aging_pops = next(&mut it, "--aging")?

@@ -11,10 +11,9 @@
 //! * [`job`] — job specs (wire format mirrors the `esteem-sim` CLI
 //!   flags), per-job state, and blocking progress-event streams.
 //! * [`queue`] — bounded priority queue with per-client fairness and
-//!   optional priority aging.
-//! * [`admission`] — front-door admission control: per-client token
-//!   buckets and SLO shedding on windowed queue-wait p95, with
-//!   `Retry-After` hints on every shed.
+//!   optional priority aging. It is the daemon's one overload
+//!   mechanism: a submit that finds it full is shed with 429 and a
+//!   `Retry-After` hint derived from queue-wait p50.
 //! * [`journal`] — crash-safe append-only JSONL journal + recovery.
 //! * [`server`] — the daemon: resident worker threads that pop the
 //!   [`queue`] directly, run-cache-backed dedupe (identical in-flight
@@ -27,9 +26,6 @@
 //! * [`client`] — a minimal blocking HTTP client used by
 //!   `esteem-client`, `esteem-top`, and the end-to-end tests; its
 //!   [`RetryPolicy`] honors server `Retry-After` hints on 429.
-//! * [`loadgen`] — the `esteem-loadgen` harness: open-loop (Poisson)
-//!   and closed-loop (fixed concurrency) arrivals, cheap/expensive job
-//!   mixes, and a cache-hit-ratio knob.
 //!
 //! API summary (see DESIGN.md §13 for the full contract):
 //!
@@ -46,18 +42,15 @@
 //! | `GET /v1/health`          | liveness probe                         |
 //! | `POST /v1/shutdown`       | graceful drain and exit                |
 
-pub mod admission;
 pub mod client;
 pub mod cluster;
 pub mod http;
 pub mod job;
 pub mod journal;
-pub mod loadgen;
 pub mod observe;
 pub mod queue;
 pub mod server;
 
-pub use admission::{AdmissionControl, AdmissionOptions, Shed, ShedReason};
 pub use client::RetryPolicy;
 pub use cluster::{ClusterAgent, ClusterConfig};
 pub use job::{Job, JobSpec, JobState};

@@ -31,7 +31,6 @@ use esteem_stats::{
 use esteem_trace::{EventKind, TraceEvent, TraceFilter, Tracer};
 use serde::{Serialize, Value};
 
-use crate::admission::{AdmissionControl, AdmissionOptions, Shed, ShedReason};
 use crate::cluster::{ClusterAgent, ClusterConfig};
 use crate::http::{Handler, HandlerResult, HttpCounters, HttpServer};
 use crate::job::{EventStream, FinishedJob, Job, JobSpec, JobState};
@@ -79,10 +78,6 @@ pub struct ServerOptions {
     /// Join a cluster as a worker: register/heartbeat with this
     /// coordinator (`None` = standalone daemon).
     pub cluster: Option<ClusterConfig>,
-    /// Front-door admission control (token buckets + SLO shedding).
-    /// Disabled unless a rate limit or SLO is configured; the bounded
-    /// queue's 429-on-full backstop applies regardless.
-    pub admission: AdmissionOptions,
     /// Queue priority aging: bump effective priority one level per this
     /// many pops spent waiting (0 = off). See [`JobQueue::with_aging`].
     pub aging_pops: u64,
@@ -101,7 +96,6 @@ impl Default for ServerOptions {
             flight_recorder_jobs: 256,
             flight_dump: None,
             cluster: None,
-            admission: AdmissionOptions::default(),
             aging_pops: 0,
         }
     }
@@ -116,10 +110,6 @@ pub struct ServeCounters {
     pub cached: AtomicU64,
     /// Submissions shed because the queue was full.
     pub shed: AtomicU64,
-    /// Submissions shed by a per-client token bucket.
-    pub shed_rate_limited: AtomicU64,
-    /// Submissions shed because windowed queue-wait p95 breached the SLO.
-    pub shed_slo: AtomicU64,
     /// Submissions rejected at resolve time (bad spec).
     pub rejected: AtomicU64,
     pub completed: AtomicU64,
@@ -136,11 +126,6 @@ impl StatsSource for ServeCounters {
         out.counter("jobs_coalesced", self.coalesced.load(Ordering::Relaxed));
         out.counter("jobs_cached", self.cached.load(Ordering::Relaxed));
         out.counter("jobs_shed", self.shed.load(Ordering::Relaxed));
-        out.counter(
-            "jobs_shed_rate_limited",
-            self.shed_rate_limited.load(Ordering::Relaxed),
-        );
-        out.counter("jobs_shed_slo", self.shed_slo.load(Ordering::Relaxed));
         out.counter("jobs_rejected", self.rejected.load(Ordering::Relaxed));
         out.counter("jobs_completed", self.completed.load(Ordering::Relaxed));
         out.counter("jobs_failed", self.failed.load(Ordering::Relaxed));
@@ -248,8 +233,6 @@ struct State {
     flight_dump: Option<PathBuf>,
     /// Cluster membership agent (workers only; filled in after bind).
     cluster: Mutex<Option<Arc<ClusterAgent>>>,
-    /// Front-door admission control; `None` when fully disabled.
-    admission: Option<AdmissionControl>,
 }
 
 impl State {
@@ -467,10 +450,6 @@ pub fn spawn(opts: ServerOptions) -> std::io::Result<Daemon> {
         flight: FlightRecorder::new(opts.flight_recorder_jobs),
         flight_dump: opts.flight_dump.clone(),
         cluster: Mutex::new(None),
-        admission: opts
-            .admission
-            .enabled()
-            .then(|| AdmissionControl::new(opts.admission.clone())),
     });
     state.queue.set_paused(opts.start_paused);
 
@@ -723,7 +702,7 @@ enum Submitted {
 }
 
 /// Submit refusal: HTTP status, body message, and (for 429 sheds) the
-/// `Retry-After` hint the admission layer or queue-wait history derived.
+/// `Retry-After` hint derived from queue-wait history.
 struct Reject {
     status: u16,
     msg: String,
@@ -758,37 +737,6 @@ fn submit(state: &Arc<State>, spec: JobSpec) -> Result<Submitted, Reject> {
         Reject::plain(400, e)
     })?;
     let fp = resolved.fingerprint;
-
-    // Admission control runs after resolve (malformed specs stay 400)
-    // but before coalesce/cache: an overloaded daemon sheds cheap-to-
-    // serve duplicates too, which keeps the check one lock-free read
-    // away from the hot path and the 429 semantics uniform.
-    if let Some(ac) = &state.admission {
-        if let Err(shed) = ac.admit(
-            &spec.client,
-            state.metrics.now_us(),
-            &state.metrics.queue_wait_us,
-        ) {
-            let Shed {
-                reason,
-                retry_after_ms,
-            } = shed;
-            state.counters.shed.fetch_add(1, Ordering::Relaxed);
-            let counter = match reason {
-                ShedReason::RateLimited => &state.counters.shed_rate_limited,
-                ShedReason::SloBreached => &state.counters.shed_slo,
-            };
-            counter.fetch_add(1, Ordering::Relaxed);
-            return Err(Reject {
-                status: 429,
-                msg: match reason {
-                    ShedReason::RateLimited => format!("rate limited: {}", spec.client),
-                    ShedReason::SloBreached => "shedding load: queue-wait SLO breached".into(),
-                },
-                retry_after_ms: Some(retry_after_ms),
-            });
-        }
-    }
 
     // Coalesce + enqueue under the inflight lock, so a duplicate either
     // sees the primary (and coalesces) or races cleanly to be primary.
@@ -1037,14 +985,6 @@ fn status_body(state: &State) -> String {
         ("cached".into(), c.cached.load(Ordering::Relaxed).to_value()),
         ("shed".into(), c.shed.load(Ordering::Relaxed).to_value()),
         (
-            "shed_rate_limited".into(),
-            c.shed_rate_limited.load(Ordering::Relaxed).to_value(),
-        ),
-        (
-            "shed_slo".into(),
-            c.shed_slo.load(Ordering::Relaxed).to_value(),
-        ),
-        (
             "rejected".into(),
             c.rejected.load(Ordering::Relaxed).to_value(),
         ),
@@ -1127,27 +1067,6 @@ fn status_body(state: &State) -> String {
             (state.flight.len() as u64).to_value(),
         ),
     ]);
-    if let (Some(ac), Value::Map(map)) = (&state.admission, &mut body) {
-        let opts = ac.options();
-        let mut a: Vec<(String, Value)> = vec![
-            (
-                "rate_per_sec".into(),
-                opts.rate_per_sec.map(Value::F64).unwrap_or(Value::Null),
-            ),
-            ("burst".into(), Value::F64(opts.burst)),
-            (
-                "slo_ms".into(),
-                opts.slo_ms.map(|v| v.to_value()).unwrap_or(Value::Null),
-            ),
-            ("buckets".into(), (ac.bucket_count() as u64).to_value()),
-        ];
-        if let Some(sig) = ac.slo_signal(&m.queue_wait_us) {
-            a.push(("window_p95_us".into(), sig.window_p95_us.to_value()));
-            a.push(("window_samples".into(), sig.window_samples.to_value()));
-            a.push(("slo_engaged".into(), Value::Bool(sig.engaged)));
-        }
-        map.push(("admission".into(), Value::Map(a)));
-    }
     let agent = state
         .cluster
         .lock()

@@ -120,13 +120,6 @@ impl Histogram {
         self.max.fetch_max(v, Ordering::Relaxed);
     }
 
-    /// Records a duration in whole microseconds (the stack's canonical
-    /// latency unit).
-    #[inline]
-    pub fn record_duration_us(&self, d: std::time::Duration) {
-        self.record(d.as_micros().min(u64::MAX as u128) as u64);
-    }
-
     pub fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
     }

@@ -13,10 +13,6 @@
 //!   constant size, and no allocation on record; sparse
 //!   [`HistogramSnapshot`]s are mergeable, delta-able, and answer
 //!   quantile queries (the daemon's stage-latency p50/p95/p99).
-//! * **Windowed quantiles** — [`SlidingWindow`] keeps a ring of
-//!   cumulative snapshot boundaries and answers quantiles over the
-//!   delta, turning a lifetime histogram into a recent-load control
-//!   signal (the daemon's SLO-shedding input).
 //! * **Hierarchical collection** — components implement [`StatsSource`]
 //!   and write their stats into a [`Scope`]; nesting scopes yields
 //!   slash-separated paths (`"l2/hits"`, `"cores/0/instructions"`).
@@ -41,14 +37,12 @@
 pub mod histogram;
 pub mod observer;
 pub mod registry;
-pub mod window;
 
 pub use histogram::{Histogram, HistogramSnapshot};
 pub use observer::{read_interval_log, IntervalObserver, IntervalSample, JsonlSink};
 pub use registry::{
     escape_label_value, labeled, Scope, StatValue, StatsReading, StatsRegistry, StatsSource,
 };
-pub use window::SlidingWindow;
 
 /// A monotonically increasing event count.
 ///
