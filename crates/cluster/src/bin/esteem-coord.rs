@@ -7,12 +7,11 @@
 //!                               on stdout as "listening on <addr>")
 //!   --journal <file>            coordinator journal; enables restart
 //!                               recovery
-//!   --vnodes <n>                virtual nodes per worker on the hash
-//!                               ring (default 64)
-//!   --workers-per-node <n>      dispatcher threads (= max in-flight
-//!                               jobs) per worker (default 2)
-//!   --heartbeat-timeout-ms <ms> declare a silent worker dead after
-//!                               this (default 5000)
+//!   --workers <n>               jobs in flight across the fleet
+//!                               (default 4); each live worker runs at
+//!                               most ceil(n / live workers) of them
+//!   --heartbeat-timeout-ms <ms> a worker silent this long gets no new
+//!                               jobs (default 5000)
 //!
 //! esteem-coord merge <name>=<journal> [<name>=<journal> ...]
 //!   fold per-worker journals into one JSON view on stdout (outcome
@@ -20,24 +19,28 @@
 //!   are listed under "conflicts")
 //! ```
 //!
-//! The coordinator exits after `POST /v1/shutdown`.
+//! The coordinator is an `esteem-serve` daemon whose jobs run on the
+//! workers that register with it; it exits after `POST /v1/shutdown`.
 
 use std::io::Write;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
 
-use esteem_cluster::{merge_journals, CoordinatorOptions};
+use esteem_cluster::merge_journals;
+use esteem_serve::ServerOptions;
 
-const HELP: &str = "usage: esteem-coord [--addr host:port] [--journal file] [--vnodes n] \
-     [--workers-per-node n] [--heartbeat-timeout-ms ms]\n\
+const HELP: &str = "usage: esteem-coord [--addr host:port] [--journal file] [--workers n] \
+     [--heartbeat-timeout-ms ms]\n\
        esteem-coord merge name=journal [name=journal ...]";
 
-fn parse() -> Result<CoordinatorOptions, String> {
-    let mut opts = CoordinatorOptions {
+fn parse() -> Result<(ServerOptions, Duration), String> {
+    let mut opts = ServerOptions {
         addr: "127.0.0.1:7118".into(),
-        ..CoordinatorOptions::default()
+        workers: 4,
+        ..ServerOptions::default()
     };
+    let mut heartbeat_timeout = Duration::from_secs(5);
     let mut it = std::env::args().skip(1);
     let next = |it: &mut dyn Iterator<Item = String>, flag: &str| {
         it.next().ok_or_else(|| format!("{flag} needs a value"))
@@ -46,20 +49,12 @@ fn parse() -> Result<CoordinatorOptions, String> {
         match arg.as_str() {
             "--addr" => opts.addr = next(&mut it, "--addr")?,
             "--journal" => opts.journal_path = Some(next(&mut it, "--journal")?.into()),
-            "--vnodes" => {
-                opts.dispatch.vnodes = next(&mut it, "--vnodes")?
+            "--workers" => {
+                opts.workers = next(&mut it, "--workers")?
                     .parse()
-                    .map_err(|e| format!("--vnodes: {e}"))?;
-                if opts.dispatch.vnodes == 0 {
-                    return Err("--vnodes must be >= 1".into());
-                }
-            }
-            "--workers-per-node" => {
-                opts.dispatch.workers_per_node = next(&mut it, "--workers-per-node")?
-                    .parse()
-                    .map_err(|e| format!("--workers-per-node: {e}"))?;
-                if opts.dispatch.workers_per_node == 0 {
-                    return Err("--workers-per-node must be >= 1".into());
+                    .map_err(|e| format!("--workers: {e}"))?;
+                if opts.workers == 0 {
+                    return Err("--workers must be >= 1".into());
                 }
             }
             "--heartbeat-timeout-ms" => {
@@ -69,15 +64,13 @@ fn parse() -> Result<CoordinatorOptions, String> {
                 if ms == 0 {
                     return Err("--heartbeat-timeout-ms must be >= 1".into());
                 }
-                opts.dispatch.heartbeat_timeout = Duration::from_millis(ms);
-                // Probe at least twice per timeout window.
-                opts.dispatch.monitor_interval = Duration::from_millis((ms / 2).max(50));
+                heartbeat_timeout = Duration::from_millis(ms);
             }
             "-h" | "--help" => return Err(HELP.into()),
             other => return Err(format!("unknown flag {other}\n{HELP}")),
         }
     }
-    Ok(opts)
+    Ok((opts, heartbeat_timeout))
 }
 
 fn run_merge(args: &[String]) -> ExitCode {
@@ -129,14 +122,14 @@ fn main() -> ExitCode {
     if args.first().map(String::as_str) == Some("merge") {
         return run_merge(&args[1..]);
     }
-    let opts = match parse() {
+    let (opts, heartbeat_timeout) = match parse() {
         Ok(o) => o,
         Err(e) => {
             eprintln!("{e}");
             return ExitCode::FAILURE;
         }
     };
-    let coord = match esteem_cluster::spawn(opts) {
+    let coord = match esteem_cluster::spawn(opts, heartbeat_timeout) {
         Ok(c) => c,
         Err(e) => {
             eprintln!("starting coordinator: {e}");
@@ -145,9 +138,9 @@ fn main() -> ExitCode {
     };
     // Scripts parse this line for the ephemeral port; flush before
     // blocking.
-    println!("listening on {}", coord.addr());
+    println!("listening on {}", coord.daemon.addr());
     let _ = std::io::stdout().flush();
-    let drained = coord.wait();
+    let drained = coord.daemon.wait();
     if !drained {
         eprintln!("warning: some connections did not drain before the timeout");
     }

@@ -1,142 +1,292 @@
-//! The coordinator daemon: HTTP front end over [`crate::dispatch`].
+//! The coordinator: a stock `esteem-serve` daemon whose jobs run on
+//! remote workers.
 //!
-//! Speaks the same `POST /v1/jobs` / `GET /v1/jobs/{id}` contract as a
-//! single `esteem-serve` daemon — `esteem-client submit/fetch` works
-//! against either unchanged — plus the sweep API:
+//! [`spawn`] starts [`esteem_serve::server`] with the [`Fleet`] as its
+//! runner, so the job table, submit path, `/v1/jobs`, `/v1/status`,
+//! `/metrics`, health, shutdown, the flight recorder and journal
+//! recovery are the daemon's own. On top come the fabric's routes:
 //!
+//! - `POST /v1/cluster/register` (the heartbeat) and
+//!   `POST /v1/cluster/deregister`; `GET /v1/cluster` lists members.
 //! - `POST /v1/sweeps` accepts `{"jobs":[spec, ..]}` or
 //!   `{"base": spec, "grid": {field: [v, ..], ..}}` (expanded row-major,
-//!   last axis fastest) and admits every cell atomically.
-//! - `GET /v1/sweeps/{id}` reports progress.
+//!   last axis fastest). Every cell must resolve before any is
+//!   submitted; the cells then go through the daemon's submit path and
+//!   queue past its capacity cap.
+//! - `GET /v1/sweeps/{id}` reports progress, read from the cells' job
+//!   states.
 //! - `GET /v1/sweeps/{id}/report` streams, once every cell is done, one
 //!   pretty-printed report per cell in cell order — byte-identical to
 //!   running `esteem-sim --json` per cell on one node.
-//!
-//! Workers join via `POST /v1/cluster/register` (heartbeat doubles as
-//! registration) and leave via `POST /v1/cluster/deregister`.
 
-use std::net::SocketAddr;
-use std::path::PathBuf;
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use esteem_serve::http::{Handler, HandlerResult, HttpServer};
-use esteem_serve::journal::{self, Journal};
-use esteem_serve::JobSpec;
-use esteem_stats::{labeled, StatsReading};
+use esteem_serve::http::{HandlerResult, Request};
+use esteem_serve::journal::Recovery;
+use esteem_serve::server::spawn_with;
+use esteem_serve::{ClusterHook, Daemon, JobSpec, JobState, Plane, ServerOptions};
+use esteem_stats::Scope;
 use serde::{map_get, Deserialize, Serialize, Value};
 
-use crate::dispatch::{CJobState, Cluster, DispatchOptions};
-
-const VERSION: &str = env!("CARGO_PKG_VERSION");
-const METRICS_CONTENT_TYPE: &str = "text/plain; version=0.0.4; charset=utf-8";
+use crate::fleet::Fleet;
 
 /// Ceiling on cells per sweep: grids multiply fast, and every cell
 /// costs a journal record before the 202 goes out.
 pub const MAX_SWEEP_CELLS: usize = 100_000;
 
-/// Coordinator configuration.
-#[derive(Debug, Clone)]
-pub struct CoordinatorOptions {
-    /// Bind address; port 0 for ephemeral.
-    pub addr: String,
-    /// Coordinator journal (`None` disables restart recovery).
-    pub journal_path: Option<PathBuf>,
-    pub dispatch: DispatchOptions,
-    /// How long shutdown waits for open connections.
-    pub drain_timeout: Duration,
-}
-
-impl Default for CoordinatorOptions {
-    fn default() -> Self {
-        Self {
-            addr: "127.0.0.1:0".into(),
-            journal_path: None,
-            dispatch: DispatchOptions::default(),
-            drain_timeout: Duration::from_secs(10),
-        }
-    }
-}
-
-/// A running coordinator.
+/// A running coordinator: the daemon, and the fleet its jobs run on.
 pub struct Coordinator {
-    addr: SocketAddr,
-    cluster: Arc<Cluster>,
-    http: Option<std::thread::JoinHandle<bool>>,
-    monitor: Option<std::thread::JoinHandle<()>>,
-    http_handle: esteem_serve::http::ServerHandle,
+    pub daemon: Daemon,
+    pub fleet: Arc<Fleet>,
 }
 
-impl Coordinator {
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// The dispatch core (tests and the merge tool reach through this).
-    pub fn cluster(&self) -> &Arc<Cluster> {
-        &self.cluster
-    }
-
-    /// Programmatic equivalent of `POST /v1/shutdown`.
-    pub fn shutdown(&self) {
-        self.cluster.shutdown();
-    }
-
-    /// Blocks until shutdown, then joins dispatchers, monitor, and the
-    /// HTTP listener. Returns `true` when connections drained in time.
-    pub fn wait(mut self) -> bool {
-        self.cluster.wait_shutdown();
-        self.cluster.shutdown();
-        if let Some(m) = self.monitor.take() {
-            let _ = m.join();
-        }
-        self.http_handle.stop();
-        match self.http.take() {
-            Some(h) => h.join().unwrap_or(false),
-            None => true,
-        }
-    }
-}
-
-/// Binds, replays the journal, and starts the monitor + HTTP threads.
-pub fn spawn(opts: CoordinatorOptions) -> std::io::Result<Coordinator> {
-    let journal = match &opts.journal_path {
-        Some(p) => Journal::open(p)?,
-        None => Journal::none(),
+/// Starts a coordinator daemon with `opts`. Its `workers` bound the jobs
+/// in flight across the fleet; a worker whose last heartbeat is older
+/// than `heartbeat_timeout` gets no new jobs. The queue starts paused and
+/// resumes when a worker registers.
+pub fn spawn(opts: ServerOptions, heartbeat_timeout: Duration) -> std::io::Result<Coordinator> {
+    let fleet = Arc::new(Fleet::new(opts.workers, heartbeat_timeout));
+    let fabric = Arc::new(Fabric {
+        fleet: Arc::clone(&fleet),
+        sweeps: Mutex::new(HashMap::new()),
+        next_sweep: AtomicU64::new(0),
+    });
+    let opts = ServerOptions {
+        start_paused: true,
+        cluster: None,
+        ..opts
     };
-    let cluster = Cluster::new(opts.dispatch.clone(), journal);
-    if let Some(path) = &opts.journal_path {
-        let rec = journal::recover(path)?;
-        if rec.skipped_lines > 0 {
-            eprintln!(
-                "esteem-coord: journal {}: skipped {} corrupt line(s) during recovery",
-                path.display(),
-                rec.skipped_lines
-            );
-        }
-        cluster.restore(rec);
+    let daemon = spawn_with(opts, Arc::clone(&fleet) as _, Some(fabric))?;
+    Ok(Coordinator { daemon, fleet })
+}
+
+/// The coordinator's [`ClusterHook`]: membership and sweep routes, and
+/// the `cluster` block of status and metrics.
+struct Fabric {
+    fleet: Arc<Fleet>,
+    /// Sweep id -> its cells' job ids, in cell order.
+    sweeps: Mutex<HashMap<u64, Vec<u64>>>,
+    next_sweep: AtomicU64,
+}
+
+/// A sweep's cells by state.
+struct Progress {
+    total: u64,
+    done: u64,
+    failed: u64,
+}
+
+impl Fabric {
+    fn cells(&self, sweep: u64) -> Option<Vec<u64>> {
+        self.sweeps
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .get(&sweep)
+            .cloned()
     }
-    let handler = make_handler(Arc::clone(&cluster));
-    let server = HttpServer::bind(&opts.addr, handler)?;
-    let addr = server.local_addr();
-    let http_handle = server.handle();
-    let drain = opts.drain_timeout;
-    let http = std::thread::Builder::new()
-        .name("esteem-coord-http".into())
-        .spawn(move || server.serve(drain))
-        .expect("spawn http thread");
-    let mon_cluster = Arc::clone(&cluster);
-    let monitor = std::thread::Builder::new()
-        .name("esteem-coord-monitor".into())
-        .spawn(move || mon_cluster.monitor_loop())
-        .expect("spawn monitor thread");
-    Ok(Coordinator {
-        addr,
-        cluster,
-        http: Some(http),
-        monitor: Some(monitor),
-        http_handle,
-    })
+
+    fn progress(plane: &Plane, cells: &[u64]) -> Progress {
+        let mut p = Progress {
+            total: cells.len() as u64,
+            done: 0,
+            failed: 0,
+        };
+        for &id in cells {
+            match plane.job_state(id) {
+                Some(JobState::Done(_)) => p.done += 1,
+                Some(JobState::Failed(_)) => p.failed += 1,
+                _ => {}
+            }
+        }
+        p
+    }
+
+    fn post_sweep(&self, plane: &Plane, body: &[u8]) -> HandlerResult {
+        let specs = match body_map(body).and_then(|m| expand_sweep(&m)) {
+            Ok(specs) if specs.is_empty() => return json_err(400, "sweep has no cells"),
+            Ok(specs) => specs,
+            Err(e) => return json_err(400, &e),
+        };
+        for (i, spec) in specs.iter().enumerate() {
+            if let Err(e) = spec.resolve() {
+                return json_err(400, &format!("cell {i}: {e}"));
+            }
+        }
+        let sweep = self.next_sweep.fetch_add(1, Ordering::Relaxed) + 1;
+        let mut jobs = Vec::with_capacity(specs.len());
+        for spec in specs {
+            match plane.submit(spec, Some(sweep)) {
+                Ok(id) => jobs.push(id),
+                Err((status, msg)) => return json_err(status, &msg),
+            }
+        }
+        plane.journal().sweep(sweep, &jobs);
+        self.fleet
+            .counters
+            .sweeps_submitted
+            .fetch_add(1, Ordering::Relaxed);
+        let body = Value::Map(vec![
+            ("sweep".into(), sweep.to_value()),
+            ("total".into(), (jobs.len() as u64).to_value()),
+            (
+                "jobs".into(),
+                Value::Seq(jobs.iter().map(|j| j.to_value()).collect()),
+            ),
+        ]);
+        self.sweeps
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .insert(sweep, jobs);
+        HandlerResult::Json(202, serde_json::to_string(&body).expect("serializes"))
+    }
+
+    fn sweep_status(plane: &Plane, sweep: u64, cells: &[u64]) -> HandlerResult {
+        let p = Self::progress(plane, cells);
+        let state = if p.failed > 0 {
+            "failed"
+        } else if p.done == p.total {
+            "done"
+        } else {
+            "running"
+        };
+        let body = Value::Map(vec![
+            ("sweep".into(), sweep.to_value()),
+            ("state".into(), Value::Str(state.into())),
+            ("total".into(), p.total.to_value()),
+            ("done".into(), p.done.to_value()),
+            ("failed".into(), p.failed.to_value()),
+            (
+                "jobs".into(),
+                Value::Seq(cells.iter().map(|j| j.to_value()).collect()),
+            ),
+        ]);
+        HandlerResult::Json(200, serde_json::to_string(&body).expect("serializes"))
+    }
+
+    fn sweep_report(plane: &Plane, cells: &[u64]) -> HandlerResult {
+        let p = Self::progress(plane, cells);
+        if p.failed > 0 {
+            return json_err(500, &format!("{} of {} cells failed", p.failed, p.total));
+        }
+        let mut reports = Vec::with_capacity(cells.len());
+        for &id in cells {
+            let Some(JobState::Done(report)) = plane.job_state(id) else {
+                let msg = format!("sweep not finished ({}/{} done)", p.done, p.total);
+                return json_err(409, &msg);
+            };
+            reports.push(serde_json::to_string_pretty(&report.to_value()).expect("serializes"));
+        }
+        HandlerResult::Stream(200, Box::new(reports.into_iter()))
+    }
+
+    fn members_value(&self) -> Value {
+        let members = self.fleet.members().into_iter().map(|(name, m)| {
+            Value::Map(vec![
+                ("node".into(), Value::Str(name)),
+                ("addr".into(), Value::Str(m.addr)),
+                ("alive".into(), Value::Bool(m.alive)),
+                ("draining".into(), Value::Bool(m.draining)),
+                ("inflight".into(), m.inflight.to_value()),
+                ("jobs_done".into(), m.jobs_done.to_value()),
+                ("last_seen_ms".into(), m.last_seen_ms.to_value()),
+            ])
+        });
+        Value::Seq(members.collect())
+    }
+}
+
+impl ClusterHook for Fabric {
+    fn status_value(&self, plane: &Plane) -> Value {
+        let mut sweeps: Vec<(u64, Vec<u64>)> = self
+            .sweeps
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .iter()
+            .map(|(id, cells)| (*id, cells.clone()))
+            .collect();
+        sweeps.sort_unstable_by_key(|(id, _)| *id);
+        let sweeps = sweeps.into_iter().map(|(id, cells)| {
+            let p = Self::progress(plane, &cells);
+            Value::Map(vec![
+                ("sweep".into(), id.to_value()),
+                ("total".into(), p.total.to_value()),
+                ("done".into(), p.done.to_value()),
+                ("failed".into(), p.failed.to_value()),
+            ])
+        });
+        Value::Map(vec![
+            ("role".into(), Value::Str("coordinator".into())),
+            ("members".into(), self.members_value()),
+            ("sweeps".into(), Value::Seq(sweeps.collect())),
+            ("counters".into(), self.fleet.counters_value()),
+        ])
+    }
+
+    fn metrics(&self, out: &mut Scope<'_>) {
+        self.fleet.metrics(out);
+    }
+
+    fn route(&self, plane: &Plane, req: &Request) -> Option<HandlerResult> {
+        let parts: Vec<&str> = req.path.split('/').filter(|p| !p.is_empty()).collect();
+        let sweep = |id: &str| {
+            let id = id.parse::<u64>().ok()?;
+            Some((id, self.cells(id)?))
+        };
+        Some(match (req.method.as_str(), parts.as_slice()) {
+            ("POST", ["v1", "cluster", "register"]) => {
+                let m = match body_map(&req.body) {
+                    Ok(m) => m,
+                    Err(e) => return Some(json_err(400, &e)),
+                };
+                let field = |k: &str| map_get(&m, k).ok().and_then(|v| v.as_str());
+                match (field("id"), field("addr")) {
+                    (Some(id), Some(addr)) if !id.is_empty() && !addr.is_empty() => {
+                        self.fleet.register(plane, id, addr);
+                        HandlerResult::Json(200, "{\"ok\":true}".into())
+                    }
+                    _ => json_err(400, "need non-empty \"id\" and \"addr\""),
+                }
+            }
+            ("POST", ["v1", "cluster", "deregister"]) => {
+                let m = match body_map(&req.body) {
+                    Ok(m) => m,
+                    Err(e) => return Some(json_err(400, &e)),
+                };
+                match map_get(&m, "id").ok().and_then(|v| v.as_str()) {
+                    Some(id) if !id.is_empty() => {
+                        self.fleet.deregister(id);
+                        HandlerResult::Json(200, "{\"ok\":true}".into())
+                    }
+                    _ => json_err(400, "need non-empty \"id\""),
+                }
+            }
+            ("GET", ["v1", "cluster"]) => {
+                let body = Value::Map(vec![("members".into(), self.members_value())]);
+                HandlerResult::Json(200, serde_json::to_string(&body).expect("serializes"))
+            }
+            ("POST", ["v1", "sweeps"]) => self.post_sweep(plane, &req.body),
+            ("GET", ["v1", "sweeps", id]) => match sweep(id) {
+                Some((id, cells)) => Self::sweep_status(plane, id, &cells),
+                None => json_err(404, "no such sweep"),
+            },
+            ("GET", ["v1", "sweeps", id, "report"]) => match sweep(id) {
+                Some((_, cells)) => Self::sweep_report(plane, &cells),
+                None => json_err(404, "no such sweep"),
+            },
+            _ => return None,
+        })
+    }
+
+    fn recovered(&self, rec: &Recovery) {
+        self.next_sweep.store(rec.max_sweep_id, Ordering::Relaxed);
+        self.sweeps
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .extend(rec.sweeps.iter().cloned());
+    }
 }
 
 fn json_err(status: u16, msg: &str) -> HandlerResult {
@@ -204,332 +354,6 @@ fn expand_sweep(m: &[(String, Value)]) -> Result<Vec<JobSpec>, String> {
         specs.push(JobSpec::from_value(&Value::Map(cell)).map_err(|e| format!("cell {i}: {e}"))?);
     }
     Ok(specs)
-}
-
-fn job_status_body(cluster: &Cluster, id: u64) -> Option<String> {
-    cluster.with_job(id, |job| {
-        let mut m: Vec<(String, Value)> = vec![
-            ("job".into(), job.id.to_value()),
-            ("state".into(), Value::Str(job.state.name().into())),
-            ("workload".into(), Value::Str(job.spec.workload.clone())),
-            (
-                "fingerprint".into(),
-                Value::Str(format!("{:016x}", job.fingerprint)),
-            ),
-        ];
-        if let Some(sweep) = job.sweep {
-            m.push(("sweep".into(), sweep.to_value()));
-        }
-        match &job.state {
-            CJobState::Dispatched { node, .. } => {
-                m.push(("node".into(), Value::Str(node.clone())));
-            }
-            CJobState::Done(pretty) => {
-                let result = serde_json::from_str::<Value>(pretty).unwrap_or(Value::Null);
-                m.push(("result".into(), result));
-            }
-            CJobState::Failed(err) => m.push(("error".into(), Value::Str(err.clone()))),
-            CJobState::Pending => {}
-        }
-        serde_json::to_string(&Value::Map(m)).expect("serializes")
-    })
-}
-
-fn sweep_status_body(cluster: &Cluster, id: u64) -> Option<String> {
-    let (s, total) = cluster.sweep_state(id)?;
-    let state = if s.failed > 0 {
-        "failed"
-    } else if s.done == total {
-        "done"
-    } else {
-        "running"
-    };
-    Some(
-        serde_json::to_string(&Value::Map(vec![
-            ("sweep".into(), id.to_value()),
-            ("state".into(), Value::Str(state.into())),
-            ("total".into(), total.to_value()),
-            ("done".into(), s.done.to_value()),
-            ("failed".into(), s.failed.to_value()),
-            (
-                "jobs".into(),
-                Value::Seq(s.jobs.iter().map(|j| j.to_value()).collect()),
-            ),
-        ]))
-        .expect("serializes"),
-    )
-}
-
-fn metrics_body(cluster: &Cluster) -> String {
-    let mut r = StatsReading::new();
-    r.register("cluster", &cluster.counters);
-    r.scope("cluster", |s| {
-        let (queued, running, done, failed, unassigned) = cluster.job_counts();
-        s.gauge("jobs_queued", queued as f64);
-        s.gauge("jobs_running", running as f64);
-        s.gauge("jobs_done", done as f64);
-        s.gauge("jobs_failed", failed as f64);
-        s.gauge("jobs_unassigned", unassigned as f64);
-        for (name, m) in cluster.members_snapshot() {
-            let l = [("node", name.as_str())];
-            s.gauge(&labeled("node_alive", &l), if m.alive { 1.0 } else { 0.0 });
-            s.gauge(&labeled("node_pending", &l), m.pending as f64);
-            s.gauge(&labeled("node_inflight", &l), m.inflight as f64);
-            s.gauge(&labeled("node_jobs_done", &l), m.jobs_done as f64);
-            s.gauge(&labeled("node_run_p95_us", &l), m.run_p95_us);
-        }
-        s.counter(&labeled("build_info", &[("version", VERSION)]), 1);
-    });
-    r.render_text()
-}
-
-fn status_body(cluster: &Cluster) -> String {
-    let (queued, running, done, failed, unassigned) = cluster.job_counts();
-    let workers: Vec<Value> = cluster
-        .members_snapshot()
-        .into_iter()
-        .map(|(name, m)| {
-            Value::Map(vec![
-                ("node".into(), Value::Str(name)),
-                ("addr".into(), Value::Str(m.addr)),
-                ("alive".into(), Value::Bool(m.alive)),
-                ("draining".into(), Value::Bool(m.draining)),
-                ("pending".into(), m.pending.to_value()),
-                ("inflight".into(), m.inflight.to_value()),
-                ("jobs_done".into(), m.jobs_done.to_value()),
-                ("run_p95_us".into(), Value::F64(m.run_p95_us)),
-                ("queue_depth".into(), m.queue_depth.to_value()),
-                ("last_seen_ms".into(), m.last_seen_ms.to_value()),
-            ])
-        })
-        .collect();
-    let sweeps: Vec<Value> = cluster
-        .sweep_ids()
-        .into_iter()
-        .filter_map(|id| {
-            let (s, total) = cluster.sweep_state(id)?;
-            Some(Value::Map(vec![
-                ("sweep".into(), id.to_value()),
-                ("total".into(), total.to_value()),
-                ("done".into(), s.done.to_value()),
-                ("failed".into(), s.failed.to_value()),
-            ]))
-        })
-        .collect();
-    let c = &cluster.counters;
-    use std::sync::atomic::Ordering::Relaxed;
-    let counters = Value::Map(vec![
-        (
-            "jobs_submitted".into(),
-            c.jobs_submitted.load(Relaxed).to_value(),
-        ),
-        (
-            "jobs_dispatched".into(),
-            c.jobs_dispatched.load(Relaxed).to_value(),
-        ),
-        ("jobs_done".into(), c.jobs_done.load(Relaxed).to_value()),
-        ("jobs_failed".into(), c.jobs_failed.load(Relaxed).to_value()),
-        (
-            "jobs_redispatched".into(),
-            c.jobs_redispatched.load(Relaxed).to_value(),
-        ),
-        ("jobs_stolen".into(), c.jobs_stolen.load(Relaxed).to_value()),
-        (
-            "jobs_cached_on_worker".into(),
-            c.jobs_cached_on_worker.load(Relaxed).to_value(),
-        ),
-        (
-            "node_failures".into(),
-            c.node_failures.load(Relaxed).to_value(),
-        ),
-        (
-            "registrations".into(),
-            c.registrations.load(Relaxed).to_value(),
-        ),
-        ("heartbeats".into(), c.heartbeats.load(Relaxed).to_value()),
-    ]);
-    serde_json::to_string(&Value::Map(vec![
-        ("version".into(), Value::Str(VERSION.into())),
-        ("cluster_role".into(), Value::Str("coordinator".into())),
-        (
-            "jobs".into(),
-            Value::Map(vec![
-                ("queued".into(), queued.to_value()),
-                ("running".into(), running.to_value()),
-                ("done".into(), done.to_value()),
-                ("failed".into(), failed.to_value()),
-                ("unassigned".into(), unassigned.to_value()),
-            ]),
-        ),
-        ("workers".into(), Value::Seq(workers)),
-        ("sweeps".into(), Value::Seq(sweeps)),
-        ("counters".into(), counters),
-    ]))
-    .expect("serializes")
-}
-
-fn make_handler(cluster: Arc<Cluster>) -> Handler {
-    Arc::new(move |req| {
-        let parts: Vec<&str> = req.path.split('/').filter(|p| !p.is_empty()).collect();
-        match (req.method.as_str(), parts.as_slice()) {
-            ("POST", ["v1", "cluster", "register"]) => {
-                let m = match body_map(&req.body) {
-                    Ok(m) => m,
-                    Err(e) => return json_err(400, &e),
-                };
-                let (id, addr) = match (
-                    map_get(&m, "id").ok().and_then(|v| v.as_str()),
-                    map_get(&m, "addr").ok().and_then(|v| v.as_str()),
-                ) {
-                    (Some(id), Some(addr)) if !id.is_empty() && !addr.is_empty() => (id, addr),
-                    _ => return json_err(400, "need non-empty \"id\" and \"addr\""),
-                };
-                cluster.register(id, addr);
-                HandlerResult::Json(200, "{\"ok\":true}".into())
-            }
-            ("POST", ["v1", "cluster", "deregister"]) => {
-                let m = match body_map(&req.body) {
-                    Ok(m) => m,
-                    Err(e) => return json_err(400, &e),
-                };
-                match map_get(&m, "id").ok().and_then(|v| v.as_str()) {
-                    Some(id) if !id.is_empty() => cluster.deregister(id),
-                    _ => return json_err(400, "need non-empty \"id\""),
-                }
-                HandlerResult::Json(200, "{\"ok\":true}".into())
-            }
-            ("GET", ["v1", "cluster"]) => {
-                let members: Vec<Value> = cluster
-                    .members_snapshot()
-                    .into_iter()
-                    .map(|(name, m)| {
-                        Value::Map(vec![
-                            ("node".into(), Value::Str(name)),
-                            ("addr".into(), Value::Str(m.addr)),
-                            ("alive".into(), Value::Bool(m.alive)),
-                            ("draining".into(), Value::Bool(m.draining)),
-                        ])
-                    })
-                    .collect();
-                HandlerResult::Json(
-                    200,
-                    serde_json::to_string(&Value::Map(vec![(
-                        "members".into(),
-                        Value::Seq(members),
-                    )]))
-                    .expect("serializes"),
-                )
-            }
-            ("POST", ["v1", "jobs"]) => {
-                let body = match std::str::from_utf8(&req.body) {
-                    Ok(b) => b,
-                    Err(_) => return json_err(400, "body is not UTF-8"),
-                };
-                let spec: JobSpec = match serde_json::from_str(body) {
-                    Ok(s) => s,
-                    Err(e) => return json_err(400, &format!("bad job spec: {e}")),
-                };
-                match cluster.submit(spec, None) {
-                    Ok(id) => HandlerResult::Json(
-                        202,
-                        serde_json::to_string(&Value::Map(vec![
-                            ("job".into(), id.to_value()),
-                            ("coalesced".into(), Value::Bool(false)),
-                            ("cached".into(), Value::Bool(false)),
-                        ]))
-                        .expect("serializes"),
-                    ),
-                    Err(e) => json_err(e.status, &e.msg),
-                }
-            }
-            ("GET", ["v1", "jobs", id]) => {
-                match id
-                    .parse::<u64>()
-                    .ok()
-                    .and_then(|i| job_status_body(&cluster, i))
-                {
-                    Some(body) => HandlerResult::Json(200, body),
-                    None => json_err(404, "no such job"),
-                }
-            }
-            ("POST", ["v1", "sweeps"]) => {
-                let m = match body_map(&req.body) {
-                    Ok(m) => m,
-                    Err(e) => return json_err(400, &e),
-                };
-                let specs = match expand_sweep(&m) {
-                    Ok(s) => s,
-                    Err(e) => return json_err(400, &e),
-                };
-                match cluster.submit_sweep(specs) {
-                    Ok((sweep, jobs)) => HandlerResult::Json(
-                        202,
-                        serde_json::to_string(&Value::Map(vec![
-                            ("sweep".into(), sweep.to_value()),
-                            ("total".into(), (jobs.len() as u64).to_value()),
-                            (
-                                "jobs".into(),
-                                Value::Seq(jobs.iter().map(|j| j.to_value()).collect()),
-                            ),
-                        ]))
-                        .expect("serializes"),
-                    ),
-                    Err(e) => json_err(e.status, &e.msg),
-                }
-            }
-            ("GET", ["v1", "sweeps", id]) => {
-                match id
-                    .parse::<u64>()
-                    .ok()
-                    .and_then(|i| sweep_status_body(&cluster, i))
-                {
-                    Some(body) => HandlerResult::Json(200, body),
-                    None => json_err(404, "no such sweep"),
-                }
-            }
-            ("GET", ["v1", "sweeps", id, "report"]) => {
-                let Some(id) = id.parse::<u64>().ok() else {
-                    return json_err(404, "no such sweep");
-                };
-                let Some((s, total)) = cluster.sweep_state(id) else {
-                    return json_err(404, "no such sweep");
-                };
-                if s.failed > 0 {
-                    return json_err(500, &format!("{} of {} cells failed", s.failed, total));
-                }
-                match cluster.sweep_report(id) {
-                    Some(reports) => HandlerResult::Stream(200, Box::new(reports.into_iter())),
-                    None => json_err(
-                        409,
-                        &format!("sweep not finished ({}/{} done)", s.done, total),
-                    ),
-                }
-            }
-            ("GET", ["metrics"]) => {
-                HandlerResult::Typed(200, METRICS_CONTENT_TYPE, metrics_body(&cluster))
-            }
-            ("GET", ["v1", "status"]) => HandlerResult::Json(200, status_body(&cluster)),
-            ("GET", ["v1", "health"]) => {
-                let (queued, running, ..) = cluster.job_counts();
-                HandlerResult::Json(
-                    200,
-                    serde_json::to_string(&Value::Map(vec![
-                        ("ok".into(), Value::Bool(true)),
-                        ("role".into(), Value::Str("coordinator".into())),
-                        ("jobs_queued".into(), queued.to_value()),
-                        ("jobs_running".into(), running.to_value()),
-                    ]))
-                    .expect("serializes"),
-                )
-            }
-            ("POST", ["v1", "shutdown"]) => {
-                cluster.request_shutdown();
-                HandlerResult::Json(200, "{\"shutting_down\":true}".into())
-            }
-            ("POST" | "GET", _) => json_err(404, "no such endpoint"),
-            _ => json_err(405, "method not allowed"),
-        }
-    })
 }
 
 #[cfg(test)]

@@ -93,16 +93,20 @@ impl HashRing {
     /// The node owning `key` (first virtual point at or after the
     /// re-hashed key, wrapping), or `None` on an empty ring.
     pub fn owner(&self, key: u64) -> Option<&str> {
-        if self.points.is_empty() {
-            return None;
-        }
+        self.walk(key).next()
+    }
+
+    /// Every node once, in the order their first virtual point follows
+    /// the re-hashed `key` clockwise (wrapping): the owner first, then
+    /// the node that would own `key` were the owner gone, and so on.
+    pub fn walk(&self, key: u64) -> impl Iterator<Item = &str> + '_ {
         let h = splitmix64(key);
-        let idx = match self.points.binary_search_by_key(&h, |&(p, _)| p) {
-            Ok(i) => i,
-            Err(i) if i == self.points.len() => 0,
-            Err(i) => i,
-        };
-        Some(&self.nodes[self.points[idx].1])
+        let start = self.points.partition_point(|&(p, _)| p < h);
+        let mut seen = vec![false; self.nodes.len()];
+        (0..self.points.len())
+            .map(move |i| self.points[(start + i) % self.points.len()].1)
+            .filter(move |&n| !std::mem::replace(&mut seen[n], true))
+            .map(|n| self.nodes[n].as_str())
     }
 }
 
@@ -187,6 +191,24 @@ mod tests {
                 "{n} owns {share:.2} of keys"
             );
         }
+    }
+
+    #[test]
+    fn walk_visits_every_node_once_starting_at_the_owner() {
+        let mut ring = HashRing::new(16);
+        for n in ["w1", "w2", "w3"] {
+            ring.add(n);
+        }
+        for k in keys(200) {
+            let walk: Vec<&str> = ring.walk(k).collect();
+            assert_eq!(walk.len(), 3);
+            assert_eq!(Some(walk[0]), ring.owner(k));
+            // The second stop owns the key once the owner is gone.
+            let mut without = ring.clone();
+            without.remove(walk[0]);
+            assert_eq!(without.owner(k), Some(walk[1]));
+        }
+        assert_eq!(HashRing::new(4).walk(7).count(), 0);
     }
 
     #[test]

@@ -6,24 +6,26 @@
 //! also what makes the coordinator-restart test able to re-materialize
 //! reports, exactly as a shared on-disk cache would in a deployment).
 
+use std::path::PathBuf;
+use std::sync::atomic::Ordering::Relaxed;
 use std::time::{Duration, Instant};
 
-use esteem_cluster::{spawn as spawn_coord, CoordinatorOptions, DispatchOptions};
+use esteem_cluster::Coordinator;
 use esteem_core::Simulator;
+use esteem_serve::journal::{recover, RecoveredOutcome};
 use esteem_serve::{client, spawn as spawn_worker, ClusterConfig, JobSpec, ServerOptions};
 use serde::{map_get, Deserialize, Serialize, Value};
 
-fn coord_opts() -> CoordinatorOptions {
-    CoordinatorOptions {
+/// A coordinator with 4 jobs in flight across the fleet, as
+/// `esteem-coord` runs by default.
+fn spawn_coord(journal: Option<PathBuf>) -> Coordinator {
+    let opts = ServerOptions {
         addr: "127.0.0.1:0".into(),
-        dispatch: DispatchOptions {
-            heartbeat_timeout: Duration::from_millis(1500),
-            monitor_interval: Duration::from_millis(100),
-            poll_interval: Duration::from_millis(10),
-            ..DispatchOptions::default()
-        },
-        ..CoordinatorOptions::default()
-    }
+        workers: 4,
+        journal_path: journal,
+        ..ServerOptions::default()
+    };
+    esteem_cluster::spawn(opts, Duration::from_secs(5)).unwrap()
 }
 
 fn worker_opts(coordinator: &str, node_id: &str) -> ServerOptions {
@@ -55,14 +57,14 @@ fn wait_until(what: &str, timeout: Duration, mut f: impl FnMut() -> bool) {
     }
 }
 
-fn wait_workers_registered(coord: &esteem_cluster::Coordinator, n: usize) {
+fn wait_workers_registered(coord: &Coordinator, n: usize) {
     wait_until(
         &format!("{n} worker(s) to register"),
         Duration::from_secs(10),
         || {
             coord
-                .cluster()
-                .members_snapshot()
+                .fleet
+                .members()
                 .iter()
                 .filter(|(_, m)| m.alive)
                 .count()
@@ -72,7 +74,7 @@ fn wait_workers_registered(coord: &esteem_cluster::Coordinator, n: usize) {
 }
 
 /// Submits a sweep body over HTTP; returns (sweep id, total cells).
-fn submit_sweep(addr: &str, body: &Value) -> (u64, u64) {
+fn post_sweep(addr: &str, body: &Value) -> (u64, u64) {
     let body = serde_json::to_string(body).unwrap();
     let (status, resp) = client::request(addr, "POST", "/v1/sweeps", Some(&body)).unwrap();
     assert_eq!(status, 202, "sweep rejected: {resp}");
@@ -126,8 +128,8 @@ fn baseline_report(cells: &[JobSpec]) -> String {
 
 #[test]
 fn sweep_across_two_workers_is_byte_identical_to_single_node() {
-    let coord = spawn_coord(coord_opts()).unwrap();
-    let coord_addr = coord.addr().to_string();
+    let coord = spawn_coord(None);
+    let coord_addr = coord.daemon.addr().to_string();
     let w1 = spawn_worker(worker_opts(&coord_addr, "w1")).unwrap();
     let w2 = spawn_worker(worker_opts(&coord_addr, "w2")).unwrap();
     wait_workers_registered(&coord, 2);
@@ -152,7 +154,7 @@ fn sweep_across_two_workers_is_byte_identical_to_single_node() {
             ]),
         ),
     ]);
-    let (sweep, total) = submit_sweep(&coord_addr, &body);
+    let (sweep, total) = post_sweep(&coord_addr, &body);
     assert_eq!(total, 16);
     wait_sweep_done(&coord_addr, sweep, total, Duration::from_secs(120));
 
@@ -174,7 +176,7 @@ fn sweep_across_two_workers_is_byte_identical_to_single_node() {
     );
 
     // The sweep really sharded: both workers executed cells.
-    let members = coord.cluster().members_snapshot();
+    let members = coord.fleet.members();
     for (name, m) in &members {
         assert!(
             m.jobs_done >= 1,
@@ -186,16 +188,14 @@ fn sweep_across_two_workers_is_byte_identical_to_single_node() {
     w1.wait();
     w2.shutdown();
     w2.wait();
-    coord.shutdown();
-    coord.wait();
+    coord.daemon.shutdown();
+    coord.daemon.wait();
 }
 
 #[test]
 fn killing_a_worker_mid_sweep_redispatches_with_no_lost_or_duplicate_jobs() {
-    use std::sync::atomic::Ordering::Relaxed;
-
-    let coord = spawn_coord(coord_opts()).unwrap();
-    let coord_addr = coord.addr().to_string();
+    let coord = spawn_coord(None);
+    let coord_addr = coord.daemon.addr().to_string();
     let w1 = spawn_worker(worker_opts(&coord_addr, "w1")).unwrap();
     wait_workers_registered(&coord, 1);
 
@@ -214,13 +214,13 @@ fn killing_a_worker_mid_sweep_redispatches_with_no_lost_or_duplicate_jobs() {
 
     let cells: Vec<Value> = (0xC201..0xC209u64).map(|s| spec(s).to_value()).collect();
     let body = Value::Map(vec![("jobs".into(), Value::Seq(cells.clone()))]);
-    let (sweep, total) = submit_sweep(&coord_addr, &body);
+    let (sweep, total) = post_sweep(&coord_addr, &body);
     assert_eq!(total, 8);
     // Completes despite roughly half the cells sharding to the dead
     // node: its dispatchers hit connection-refused and re-home the work.
     wait_sweep_done(&coord_addr, sweep, total, Duration::from_secs(120));
 
-    let c = &coord.cluster().counters;
+    let c = &coord.fleet.counters;
     assert!(
         c.node_failures.load(Relaxed) >= 1,
         "dead worker was never declared failed"
@@ -230,8 +230,9 @@ fn killing_a_worker_mid_sweep_redispatches_with_no_lost_or_duplicate_jobs() {
         "no job was re-dispatched off the dead worker"
     );
     // Zero lost, zero duplicated: every cell done exactly once.
-    assert_eq!(c.jobs_done.load(Relaxed), total);
-    assert_eq!(c.jobs_failed.load(Relaxed), 0);
+    let served = coord.daemon.counters();
+    assert_eq!(served.completed.load(Relaxed), total);
+    assert_eq!(served.failed.load(Relaxed), 0);
 
     // And the merged report still matches the single-node ground truth.
     let merged = fetch_report(&coord_addr, sweep);
@@ -240,48 +241,51 @@ fn killing_a_worker_mid_sweep_redispatches_with_no_lost_or_duplicate_jobs() {
 
     w1.shutdown();
     w1.wait();
-    coord.shutdown();
-    coord.wait();
+    coord.daemon.shutdown();
+    coord.daemon.wait();
 }
 
 #[test]
-fn resubmitted_cell_hits_the_owning_workers_run_cache() {
-    use std::sync::atomic::Ordering::Relaxed;
-
-    let coord = spawn_coord(coord_opts()).unwrap();
-    let coord_addr = coord.addr().to_string();
+fn resubmitted_cell_is_answered_from_the_coordinators_run_cache() {
+    let coord = spawn_coord(None);
+    let coord_addr = coord.daemon.addr().to_string();
     let w1 = spawn_worker(worker_opts(&coord_addr, "w1")).unwrap();
     wait_workers_registered(&coord, 1);
 
     let s = spec(0xC301);
     let first = client::submit(&coord_addr, &s).unwrap();
+    assert!(!first.cached);
     let a = client::fetch(&coord_addr, first.job, Duration::from_millis(20)).unwrap();
 
-    // Resubmission dispatches to the ring owner again — no coordinator
-    // shortcut — so the hit lands in the worker's run cache and is
-    // visible in the coordinator's metrics.
+    // The coordinator published the worker's report in its run cache
+    // (shared in-process with the worker's): the resubmission is born
+    // done there and never reaches the worker.
     let again = client::submit(&coord_addr, &s).unwrap();
+    assert!(again.cached, "resubmission must be a coordinator cache hit");
     assert_ne!(again.job, first.job);
     let b = client::fetch(&coord_addr, again.job, Duration::from_millis(20)).unwrap();
     assert_eq!(
-        serde_json::to_string(&a).unwrap(),
-        serde_json::to_string(&b).unwrap()
+        serde_json::to_string_pretty(&a).unwrap(),
+        serde_json::to_string_pretty(&b).unwrap()
     );
-    assert!(
-        coord.cluster().counters.jobs_cached_on_worker.load(Relaxed) >= 1,
-        "resubmission must be served from the worker's run cache"
+    let worker = w1.counters();
+    assert_eq!(worker.submitted.load(Relaxed), 1, "the worker saw one job");
+    assert_eq!(
+        worker.completed.load(Relaxed),
+        1,
+        "the worker ran the cell once"
     );
     let (status, text) = client::request(&coord_addr, "GET", "/metrics", None).unwrap();
     assert_eq!(status, 200);
     assert!(
-        text.contains("cluster/jobs_cached_on_worker 1"),
+        text.contains("serve/jobs_cached 1"),
         "cache hit missing from /metrics:\n{text}"
     );
 
     w1.shutdown();
     w1.wait();
-    coord.shutdown();
-    coord.wait();
+    coord.daemon.shutdown();
+    coord.daemon.wait();
 }
 
 #[test]
@@ -293,37 +297,29 @@ fn coordinator_restart_reconstructs_cluster_state_from_its_journal() {
 
     let specs: Vec<JobSpec> = (0xC401..0xC405u64).map(spec).collect();
     let (sweep, total, merged_before) = {
-        let coord = spawn_coord(CoordinatorOptions {
-            journal_path: Some(journal.clone()),
-            ..coord_opts()
-        })
-        .unwrap();
-        let coord_addr = coord.addr().to_string();
+        let coord = spawn_coord(Some(journal.clone()));
+        let coord_addr = coord.daemon.addr().to_string();
         let w1 = spawn_worker(worker_opts(&coord_addr, "w1")).unwrap();
         wait_workers_registered(&coord, 1);
         let body = Value::Map(vec![(
             "jobs".into(),
             Value::Seq(specs.iter().map(|s| s.to_value()).collect()),
         )]);
-        let (sweep, total) = submit_sweep(&coord_addr, &body);
+        let (sweep, total) = post_sweep(&coord_addr, &body);
         wait_sweep_done(&coord_addr, sweep, total, Duration::from_secs(120));
         let merged = fetch_report(&coord_addr, sweep);
         w1.shutdown();
         w1.wait();
-        coord.shutdown();
-        coord.wait();
+        coord.daemon.shutdown();
+        coord.daemon.wait();
         (sweep, total, merged)
     };
 
     // Restarted coordinator, same journal, no workers at all: finished
     // work is already recoverable (reports re-materialize by
     // fingerprint), and the merged report is byte-identical.
-    let coord = spawn_coord(CoordinatorOptions {
-        journal_path: Some(journal.clone()),
-        ..coord_opts()
-    })
-    .unwrap();
-    let coord_addr = coord.addr().to_string();
+    let coord = spawn_coord(Some(journal.clone()));
+    let coord_addr = coord.daemon.addr().to_string();
     let (status, resp) =
         client::request(&coord_addr, "GET", &format!("/v1/sweeps/{sweep}"), None).unwrap();
     assert_eq!(status, 200, "sweep lost across restart: {resp}");
@@ -343,17 +339,15 @@ fn coordinator_restart_reconstructs_cluster_state_from_its_journal() {
     let (state, _) = client::poll(&coord_addr, new.job).unwrap();
     assert_eq!(state, "queued", "no workers: the new job must queue");
 
-    coord.shutdown();
-    coord.wait();
+    coord.daemon.shutdown();
+    coord.daemon.wait();
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn registration_lifecycle_is_visible_on_both_sides() {
-    use std::sync::atomic::Ordering::Relaxed;
-
-    let coord = spawn_coord(coord_opts()).unwrap();
-    let coord_addr = coord.addr().to_string();
+    let coord = spawn_coord(None);
+    let coord_addr = coord.daemon.addr().to_string();
     let w = spawn_worker(worker_opts(&coord_addr, "wlife")).unwrap();
     let worker_addr = w.addr().to_string();
     wait_workers_registered(&coord, 1);
@@ -389,7 +383,7 @@ fn registration_lifecycle_is_visible_on_both_sides() {
     // The first register counts as a registration; the next beat (one
     // heartbeat interval later) lands in the heartbeat counter.
     wait_until("a heartbeat to land", Duration::from_secs(10), || {
-        coord.cluster().counters.heartbeats.load(Relaxed) >= 1
+        coord.fleet.counters.heartbeats.load(Relaxed) >= 1
     });
 
     // Graceful worker shutdown deregisters: the node drains instead of
@@ -398,18 +392,48 @@ fn registration_lifecycle_is_visible_on_both_sides() {
     w.wait();
     wait_until("worker to deregister", Duration::from_secs(10), || {
         coord
-            .cluster()
-            .members_snapshot()
+            .fleet
+            .members()
             .iter()
             .any(|(n, m)| n == "wlife" && (m.draining || !m.alive))
     });
-    assert_eq!(coord.cluster().counters.deregistrations.load(Relaxed), 1);
+    assert_eq!(coord.fleet.counters.deregistrations.load(Relaxed), 1);
     assert_eq!(
-        coord.cluster().counters.node_failures.load(Relaxed),
+        coord.fleet.counters.node_failures.load(Relaxed),
         0,
         "graceful leave must not count as a node failure"
     );
 
-    coord.shutdown();
-    coord.wait();
+    coord.daemon.shutdown();
+    coord.daemon.wait();
+}
+
+#[test]
+fn with_no_live_worker_a_job_stays_queued_and_shutdown_does_not_wait_for_one() {
+    let dir = std::env::temp_dir().join(format!("esteem-cluster-idle-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let journal = dir.join("coord.jsonl");
+
+    let coord = spawn_coord(Some(journal.clone()));
+    let coord_addr = coord.daemon.addr().to_string();
+    let job = client::submit(&coord_addr, &spec(0xC501)).unwrap().job;
+    std::thread::sleep(Duration::from_millis(200));
+    let (state, _) = client::poll(&coord_addr, job).unwrap();
+    assert_eq!(state, "queued");
+
+    let t0 = Instant::now();
+    coord.daemon.shutdown();
+    assert!(coord.daemon.wait());
+    assert!(
+        t0.elapsed() < Duration::from_secs(5),
+        "shutdown waited {:?} for a worker",
+        t0.elapsed()
+    );
+
+    let rec = recover(&journal).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(rec.jobs.len(), 1);
+    assert_eq!(rec.jobs[0].id, job);
+    assert_eq!(rec.jobs[0].outcome, RecoveredOutcome::Unfinished);
 }

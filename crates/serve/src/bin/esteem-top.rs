@@ -9,7 +9,8 @@
 //!
 //! Polls `GET /v1/status` and renders queue depth, job states, run-cache
 //! hit rate, per-worker utilization, and per-stage latency percentiles
-//! with histogram sparklines. Std-only: plain ANSI escapes, no TUI
+//! with histogram sparklines, plus a cluster pane: a coordinator's
+//! members and sweep progress, or a worker's membership. Std-only: plain ANSI escapes, no TUI
 //! dependency — `--once` emits the same snapshot as plain text, which is
 //! what the CI smoke test asserts against.
 
@@ -137,72 +138,69 @@ fn stage_row(out: &mut String, label: &str, stage: &Value) {
     ));
 }
 
-/// Coordinator dashboard: one pane per worker node plus sweep progress
-/// and cluster counters, rendered from `esteem-coord`'s `/v1/status`.
-fn render_coordinator(addr: &str, status: &Value) -> String {
-    let mut out = String::new();
+/// The cluster pane, from the `cluster` block of `/v1/status`: a
+/// coordinator's members and sweep bars, or a worker's membership line.
+fn render_cluster(out: &mut String, cluster: &Value) {
+    if get_str(cluster, "role") != "coordinator" {
+        out.push_str(&format!(
+            "cluster {} @ {} -> {} · {} · {} beats ({} failed)\n",
+            get_str(cluster, "node_id"),
+            get_str(cluster, "advertise"),
+            get_str(cluster, "coordinator"),
+            if get(cluster, "registered") == Some(&Value::Bool(true)) {
+                "registered"
+            } else {
+                "UNREGISTERED"
+            },
+            get_u64(cluster, "heartbeats"),
+            get_u64(cluster, "heartbeat_failures"),
+        ));
+        return;
+    }
+    let c = get(cluster, "counters").cloned().unwrap_or(Value::Null);
     out.push_str(&format!(
-        "esteem-top — {addr} · coordinator v{}\n",
-        get_str(status, "version"),
-    ));
-    let jobs = get(status, "jobs").cloned().unwrap_or(Value::Null);
-    out.push_str(&format!(
-        "jobs    {} queued · {} running · {} done · {} failed · {} unassigned\n",
-        get_u64(&jobs, "queued"),
-        get_u64(&jobs, "running"),
-        get_u64(&jobs, "done"),
-        get_u64(&jobs, "failed"),
-        get_u64(&jobs, "unassigned"),
-    ));
-    let c = get(status, "counters").cloned().unwrap_or(Value::Null);
-    out.push_str(&format!(
-        "fabric  {} dispatched · {} stolen · {} re-dispatched · {} worker-cache hits · {} node failures\n",
+        "fabric  {} dispatched · {} re-dispatched · {} worker-cache hits · {} node failures\n",
         get_u64(&c, "jobs_dispatched"),
-        get_u64(&c, "jobs_stolen"),
         get_u64(&c, "jobs_redispatched"),
         get_u64(&c, "jobs_cached_on_worker"),
         get_u64(&c, "node_failures"),
     ));
-    let workers = get(status, "workers")
-        .and_then(|w| w.as_seq())
-        .map(|s| s.to_vec())
-        .unwrap_or_default();
+    let seq = |key: &str| {
+        get(cluster, key)
+            .and_then(|v| v.as_seq())
+            .map(|s| s.to_vec())
+            .unwrap_or_default()
+    };
+    let members = seq("members");
     out.push_str(&format!(
-        "\nworkers ({})\n  {:<12} {:<21} {:>5} {:>8} {:>8} {:>6} {:>10} {:>9}\n",
-        workers.len(),
+        "\nmembers ({})\n  {:<12} {:<21} {:>5} {:>8} {:>6} {:>9}\n",
+        members.len(),
         "node",
         "addr",
         "state",
-        "pending",
         "inflight",
         "done",
-        "run p95 µs",
         "seen ms"
     ));
-    for w in &workers {
-        let state = if get(w, "alive") == Some(&Value::Bool(false)) {
+    for m in &members {
+        let state = if get(m, "alive") == Some(&Value::Bool(false)) {
             "dead"
-        } else if get(w, "draining") == Some(&Value::Bool(true)) {
+        } else if get(m, "draining") == Some(&Value::Bool(true)) {
             "drain"
         } else {
             "up"
         };
         out.push_str(&format!(
-            "  {:<12} {:<21} {:>5} {:>8} {:>8} {:>6} {:>10.0} {:>9}\n",
-            get_str(w, "node"),
-            get_str(w, "addr"),
+            "  {:<12} {:<21} {:>5} {:>8} {:>6} {:>9}\n",
+            get_str(m, "node"),
+            get_str(m, "addr"),
             state,
-            get_u64(w, "pending"),
-            get_u64(w, "inflight"),
-            get_u64(w, "jobs_done"),
-            get_f64(w, "run_p95_us"),
-            get_u64(w, "last_seen_ms"),
+            get_u64(m, "inflight"),
+            get_u64(m, "jobs_done"),
+            get_u64(m, "last_seen_ms"),
         ));
     }
-    let sweeps = get(status, "sweeps")
-        .and_then(|s| s.as_seq())
-        .map(|s| s.to_vec())
-        .unwrap_or_default();
+    let sweeps = seq("sweeps");
     if !sweeps.is_empty() {
         out.push_str("\nsweeps\n");
         for s in &sweeps {
@@ -226,13 +224,9 @@ fn render_coordinator(addr: &str, status: &Value) -> String {
             ));
         }
     }
-    out
 }
 
 fn render(addr: &str, status: &Value) -> String {
-    if get_str(status, "cluster_role") == "coordinator" {
-        return render_coordinator(addr, status);
-    }
     let mut out = String::new();
     out.push_str(&format!(
         "esteem-top — {addr} · v{} (git {}) · up {:.0}s\n",
@@ -273,22 +267,10 @@ fn render(addr: &str, status: &Value) -> String {
             out.push_str(&format!("  [{i:>2}] {}\n", utilization_bar(frac, 24)));
         }
     }
-    // Cluster membership line (only present on daemons joined to a
-    // coordinator via --coordinator).
+    // The cluster pane (only on a worker joined to a coordinator with
+    // --coordinator, and on a coordinator).
     if let Some(cluster) = get(status, "cluster") {
-        out.push_str(&format!(
-            "cluster {} @ {} -> {} · {} · {} beats ({} failed)\n",
-            get_str(cluster, "node_id"),
-            get_str(cluster, "advertise"),
-            get_str(cluster, "coordinator"),
-            if get(cluster, "registered") == Some(&Value::Bool(true)) {
-                "registered"
-            } else {
-                "UNREGISTERED"
-            },
-            get_u64(cluster, "heartbeats"),
-            get_u64(cluster, "heartbeat_failures"),
-        ));
+        render_cluster(&mut out, cluster);
     }
     out.push_str(&format!(
         "\n{:<16} {:>8} {:>9} {:>9} {:>9} {:>9}  distribution\n",

@@ -1,11 +1,12 @@
-//! Worker-side cluster membership: register/heartbeat with a
-//! coordinator (`esteem-coord`) and deregister on graceful shutdown.
+//! A daemon's cluster role: the [`ClusterHook`] seam, and the worker
+//! side of membership — register/heartbeat with a coordinator
+//! (`esteem-coord`) and deregister on graceful shutdown.
 //!
 //! The agent is deliberately thin — membership is coordinator-driven.
 //! A worker only announces "I exist, here is my job API address" on a
-//! fixed heartbeat; the coordinator owns liveness (a worker that stops
-//! heartbeating *and* stops answering `/v1/status` is declared dead and
-//! its jobs re-dispatched — safe because the simulator is
+//! fixed heartbeat; the coordinator owns liveness (a worker whose last
+//! heartbeat is too old, or that fails a request, gets no new work, and
+//! its jobs run elsewhere — safe because the simulator is
 //! deterministic). Registration is idempotent on the coordinator, so
 //! the heartbeat *is* a registration: a coordinator restart re-learns
 //! the fleet within one heartbeat interval with no worker-side state.
@@ -14,10 +15,30 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use esteem_stats::{Scope, StatsSource};
+use esteem_stats::Scope;
 use serde::Value;
 
 use crate::client::{self, RetryPolicy};
+use crate::http::{HandlerResult, Request};
+use crate::journal::Recovery;
+use crate::server::Plane;
+
+/// What a cluster role adds to a daemon: a worker's membership agent, or
+/// the coordinator's fleet.
+pub trait ClusterHook: Send + Sync {
+    /// The `cluster` block of `/v1/status`.
+    fn status_value(&self, plane: &Plane) -> Value;
+    /// The `cluster/` names in `/metrics`.
+    fn metrics(&self, out: &mut Scope<'_>);
+    /// Answers a request no daemon route matched (`None`: 404).
+    fn route(&self, _plane: &Plane, _req: &Request) -> Option<HandlerResult> {
+        None
+    }
+    /// Sees the replayed journal before the daemon restores its jobs.
+    fn recovered(&self, _rec: &Recovery) {}
+    /// Shutdown has begun; the queue has not drained yet.
+    fn stop(&self) {}
+}
 
 /// Read timeout for agent→coordinator calls. Short: these are tiny
 /// control-plane requests, and a wedged coordinator must not pin the
@@ -95,14 +116,6 @@ impl ClusterAgent {
             .expect("spawn cluster agent");
         *agent.thread.lock().unwrap_or_else(|e| e.into_inner()) = Some(handle);
         agent
-    }
-
-    pub fn node_id(&self) -> &str {
-        &self.cfg.node_id
-    }
-
-    pub fn coordinator(&self) -> &str {
-        &self.cfg.coordinator
     }
 
     pub fn advertised(&self) -> &str {
@@ -184,9 +197,10 @@ impl ClusterAgent {
         );
         self.registered.store(false, Ordering::Relaxed);
     }
+}
 
-    /// The `cluster` section of this worker's `/v1/status`.
-    pub fn status_value(&self) -> Value {
+impl ClusterHook for ClusterAgent {
+    fn status_value(&self, _plane: &Plane) -> Value {
         Value::Map(vec![
             ("role".into(), Value::Str("worker".into())),
             (
@@ -206,16 +220,18 @@ impl ClusterAgent {
             ),
         ])
     }
-}
 
-impl StatsSource for ClusterAgent {
-    fn collect(&self, out: &mut Scope<'_>) {
+    fn metrics(&self, out: &mut Scope<'_>) {
         out.counter("heartbeats", self.heartbeats.load(Ordering::Relaxed));
         out.counter(
             "heartbeat_failures",
             self.heartbeat_failures.load(Ordering::Relaxed),
         );
         out.gauge("registered", if self.is_registered() { 1.0 } else { 0.0 });
+    }
+
+    fn stop(&self) {
+        self.stop_and_deregister();
     }
 }
 

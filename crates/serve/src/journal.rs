@@ -34,7 +34,7 @@
 
 use std::collections::HashMap;
 use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Mutex;
 use std::time::{SystemTime, UNIX_EPOCH};
 
@@ -46,7 +46,6 @@ use crate::job::JobSpec;
 /// records are dropped), which keeps call sites branch-free.
 pub struct Journal {
     file: Option<Mutex<std::io::BufWriter<std::fs::File>>>,
-    path: Option<PathBuf>,
 }
 
 fn epoch_secs() -> u64 {
@@ -70,20 +69,12 @@ impl Journal {
             .open(path)?;
         Ok(Self {
             file: Some(Mutex::new(std::io::BufWriter::new(file))),
-            path: Some(path.to_owned()),
         })
     }
 
     /// A disabled journal: every record is a no-op.
     pub fn none() -> Self {
-        Self {
-            file: None,
-            path: None,
-        }
-    }
-
-    pub fn path(&self) -> Option<&Path> {
-        self.path.as_deref()
+        Self { file: None }
     }
 
     fn record(&self, fields: Vec<(String, Value)>) {
@@ -138,9 +129,9 @@ impl Journal {
     /// Records a job answered from the run cache: its `submit` and
     /// `done` lines, in one write. A crash that tears the `done` line
     /// leaves the submit alone, which replays as unfinished (re-queued).
-    pub fn cached(&self, job: u64, fingerprint: u64, spec: &JobSpec) {
+    pub fn cached(&self, job: u64, sweep: Option<u64>, fingerprint: u64, spec: &JobSpec) {
         self.records([
-            submit_fields(job, None, fingerprint, spec),
+            submit_fields(job, sweep, fingerprint, spec),
             done_fields(job),
         ]);
     }
@@ -436,7 +427,7 @@ pub fn compact(path: &Path) -> std::io::Result<CompactStats> {
 mod tests {
     use super::*;
 
-    fn tmp(name: &str) -> PathBuf {
+    fn tmp(name: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("esteem-journal-{}-{name}", std::process::id()))
     }
 
@@ -620,7 +611,7 @@ mod tests {
         let separate = tmp("cached-separate.jsonl");
         let _ = std::fs::remove_file(&pair);
         let _ = std::fs::remove_file(&separate);
-        Journal::open(&pair).unwrap().cached(4, 0x4, &spec(4));
+        Journal::open(&pair).unwrap().cached(4, None, 0x4, &spec(4));
         let j = Journal::open(&separate).unwrap();
         j.submit(4, None, 0x4, &spec(4));
         j.done(4);
@@ -827,7 +818,6 @@ mod tests {
         let j = Journal::none();
         j.submit(1, None, 0x1, &spec(1));
         j.done(1);
-        assert!(j.path().is_none());
     }
 
     #[test]

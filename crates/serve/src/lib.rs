@@ -18,7 +18,11 @@
 //! * [`server`] — the daemon: resident worker threads that pop the
 //!   [`queue`] directly, run-cache-backed dedupe (identical in-flight
 //!   configs coalesce onto one execution), panic isolation, and the
-//!   JSON API.
+//!   JSON API. A worker that misses the run cache asks a [`Runner`] for
+//!   the report: the in-process simulator by default, a remote worker
+//!   on the `esteem-coord` coordinator.
+//! * [`cluster`] — the [`ClusterHook`] through which a cluster role
+//!   adds routes, status and metrics, and a worker's membership agent.
 //! * [`observe`] — stage-latency histograms (submit, queue wait, cache
 //!   lookup, run, serialize, end-to-end by outcome and client), worker
 //!   utilization, and the bounded flight recorder behind `/v1/flight-recorder` and the
@@ -52,9 +56,11 @@ pub mod queue;
 pub mod server;
 
 pub use client::RetryPolicy;
-pub use cluster::{ClusterAgent, ClusterConfig};
+pub use cluster::{ClusterAgent, ClusterConfig, ClusterHook};
 pub use job::{Job, JobSpec, JobState};
 pub use journal::{Journal, Recovery};
 pub use observe::{FlightRecorder, JobTiming, Outcome, ServeMetrics};
 pub use queue::{JobQueue, PushError, QueuedJob};
-pub use server::{spawn, Daemon, ServerOptions};
+pub use server::{
+    spawn, spawn_with, Daemon, LocalRunner, Plane, RunOutcome, Runner, ServerOptions,
+};

@@ -178,7 +178,8 @@ impl JobQueue {
         Ok(())
     }
 
-    /// Enqueue bypassing the capacity cap (journal recovery only).
+    /// Enqueue bypassing the capacity cap (journal recovery, and the
+    /// cells of a sweep accepted as a whole).
     pub fn push_recovered(&self, job: QueuedJob) -> Result<(), PushError> {
         let mut inner = self.lock();
         if inner.closed {

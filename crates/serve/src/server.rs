@@ -20,7 +20,7 @@ use std::net::SocketAddr;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use esteem_core::{SimReport, Simulator};
@@ -31,7 +31,7 @@ use esteem_stats::{
 use esteem_trace::{EventKind, TraceEvent, TraceFilter, Tracer};
 use serde::{Serialize, Value};
 
-use crate::cluster::{ClusterAgent, ClusterConfig};
+use crate::cluster::{ClusterAgent, ClusterConfig, ClusterHook};
 use crate::http::{Handler, HandlerResult, HttpCounters, HttpServer};
 use crate::job::{EventStream, FinishedJob, Job, JobSpec, JobState};
 use crate::journal::{recover, Journal, RecoveredOutcome};
@@ -207,7 +207,10 @@ impl JobTable {
     }
 }
 
-struct State {
+/// The daemon's one job plane: the job table, the queue, the journal
+/// and the counters every submit and every run goes through. A
+/// [`Runner`] and a [`ClusterHook`] see the daemon through it.
+pub struct Plane {
     jobs: Mutex<JobTable>,
     /// fingerprint -> the record run-cache hits of it share.
     cached: Mutex<HashMap<u64, Arc<FinishedJob>>>,
@@ -231,11 +234,55 @@ struct State {
     flight: FlightRecorder,
     /// Crash-dump target when a job panics.
     flight_dump: Option<PathBuf>,
-    /// Cluster membership agent (workers only; filled in after bind).
-    cluster: Mutex<Option<Arc<ClusterAgent>>>,
+    /// Where a job's report comes from.
+    runner: Arc<dyn Runner>,
+    /// The daemon's cluster role, if any: a worker's membership agent
+    /// (set once the address is bound) or the coordinator's fleet.
+    cluster: OnceLock<Arc<dyn ClusterHook>>,
 }
 
-impl State {
+impl Plane {
+    /// Submits `spec` through the daemon's one submit path (resolve,
+    /// coalesce, run-cache hit, journal, queue) and returns the job id,
+    /// or the HTTP status and message of a refusal. Cells of `sweep`
+    /// enter the queue past its capacity cap.
+    pub fn submit(&self, spec: JobSpec, sweep: Option<u64>) -> Result<u64, (u16, String)> {
+        match submit(self, spec, sweep) {
+            Ok(Submitted::New(id) | Submitted::Coalesced(id) | Submitted::Cached(id)) => Ok(id),
+            Err(reject) => Err((reject.status, reject.msg)),
+        }
+    }
+
+    /// State of job `id`, live or finished.
+    pub fn job_state(&self, id: u64) -> Option<JobState> {
+        self.tracked(id).map(|t| t.state())
+    }
+
+    pub fn journal(&self) -> &Journal {
+        &self.journal
+    }
+
+    /// Pauses or resumes the queue (see [`Daemon::pause`]).
+    pub fn set_paused(&self, paused: bool) {
+        self.queue.set_paused(paused);
+    }
+
+    /// Whether shutdown has been requested.
+    pub fn stopping(&self) -> bool {
+        *self.shutdown.0.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Sleeps for `d`, waking early when shutdown is requested. Returns
+    /// whether it has been.
+    pub fn sleep(&self, d: Duration) -> bool {
+        let (lock, cv) = &self.shutdown;
+        let flag = lock.lock().unwrap_or_else(|e| e.into_inner());
+        let (flag, _) = cv
+            .wait_timeout_while(flag, d, |stop| !*stop)
+            .unwrap_or_else(|e| e.into_inner());
+        *flag
+    }
+
     fn tracked(&self, id: u64) -> Option<Tracked> {
         self.jobs
             .lock()
@@ -313,6 +360,42 @@ impl State {
     }
 }
 
+/// What a [`Runner`] made of a job.
+pub enum RunOutcome {
+    Done(Arc<SimReport>),
+    /// The job failed for good; the message is its error.
+    Failed(String),
+    /// Given up because the daemon is shutting down. No terminal journal
+    /// line is written, so a restart re-queues the job.
+    Abandoned,
+}
+
+/// Where a job's report comes from: the daemon's workers pop a job, miss
+/// the run cache, and ask the runner. It runs on the worker thread under
+/// `catch_unwind`; a panic fails the job.
+pub trait Runner: Send + Sync {
+    fn run(&self, plane: &Plane, job: &Job) -> RunOutcome;
+}
+
+/// The stock runner: simulates the job in-process, streaming its interval
+/// samples to the job's events.
+pub struct LocalRunner;
+
+impl Runner for LocalRunner {
+    fn run(&self, _plane: &Plane, job: &Job) -> RunOutcome {
+        let resolved = job
+            .spec
+            .resolve()
+            .expect("spec resolved at submit; workloads/techniques are static");
+        let sink = EventSink {
+            events: Arc::clone(&job.events),
+        };
+        let sim = Simulator::new(resolved.cfg, &resolved.profiles, &resolved.label)
+            .with_observer(Box::new(sink));
+        RunOutcome::Done(Arc::new(sim.run()))
+    }
+}
+
 /// Streams interval samples into the job's event buffer as JSONL.
 struct EventSink {
     events: Arc<crate::job::JobEvents>,
@@ -330,7 +413,7 @@ impl IntervalObserver for EventSink {
 /// shutdown or [`Daemon::shutdown`] -> `wait`.
 pub struct Daemon {
     addr: SocketAddr,
-    state: Arc<State>,
+    state: Arc<Plane>,
     http: Option<std::thread::JoinHandle<bool>>,
     workers: Vec<std::thread::JoinHandle<()>>,
     http_handle: crate::http::ServerHandle,
@@ -388,14 +471,8 @@ impl Daemon {
         self.state.wait_shutdown();
         // Leave the cluster first: the coordinator stops routing new
         // work here while we drain what we already accepted.
-        let agent = self
-            .state
-            .cluster
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone();
-        if let Some(agent) = agent {
-            agent.stop_and_deregister();
+        if let Some(hook) = self.state.cluster.get() {
+            hook.stop();
         }
         // No new pushes; the workers drain the queue then exit.
         self.state.queue.close();
@@ -424,7 +501,19 @@ impl Daemon {
 }
 
 /// Binds, recovers the journal, and starts the worker + HTTP threads.
+/// Jobs run in-process ([`LocalRunner`]).
 pub fn spawn(opts: ServerOptions) -> std::io::Result<Daemon> {
+    spawn_with(opts, Arc::new(LocalRunner), None)
+}
+
+/// [`spawn`] with the runner that produces reports and, for a cluster
+/// coordinator, its [`ClusterHook`]. A worker's hook is the membership
+/// agent `opts.cluster` starts.
+pub fn spawn_with(
+    opts: ServerOptions,
+    runner: Arc<dyn Runner>,
+    hook: Option<Arc<dyn ClusterHook>>,
+) -> std::io::Result<Daemon> {
     let tracer = if opts.trace_events > 0 {
         Tracer::ring(opts.trace_events, TraceFilter::all())
     } else {
@@ -434,7 +523,7 @@ pub fn spawn(opts: ServerOptions) -> std::io::Result<Daemon> {
         Some(p) => Journal::open(p)?,
         None => Journal::none(),
     };
-    let state = Arc::new(State {
+    let state = Arc::new(Plane {
         jobs: Mutex::new(JobTable::default()),
         cached: Mutex::new(HashMap::new()),
         next_id: AtomicU64::new(0),
@@ -449,8 +538,12 @@ pub fn spawn(opts: ServerOptions) -> std::io::Result<Daemon> {
         metrics: ServeMetrics::new(),
         flight: FlightRecorder::new(opts.flight_recorder_jobs),
         flight_dump: opts.flight_dump.clone(),
-        cluster: Mutex::new(None),
+        runner,
+        cluster: OnceLock::new(),
     });
+    if let Some(hook) = hook {
+        let _ = state.cluster.set(hook);
+    }
     state.queue.set_paused(opts.start_paused);
 
     if let Some(path) = &opts.journal_path {
@@ -478,8 +571,7 @@ pub fn spawn(opts: ServerOptions) -> std::io::Result<Daemon> {
     // The agent needs the bound address (ephemeral-port workers
     // advertise it), so it starts only now.
     if let Some(cfg) = opts.cluster.clone() {
-        *state.cluster.lock().unwrap_or_else(|e| e.into_inner()) =
-            Some(ClusterAgent::spawn(cfg, addr));
+        let _ = state.cluster.set(ClusterAgent::spawn(cfg, addr));
     }
     let drain = opts.drain_timeout;
     let http = std::thread::Builder::new()
@@ -496,8 +588,11 @@ pub fn spawn(opts: ServerOptions) -> std::io::Result<Daemon> {
     })
 }
 
-fn recover_jobs(state: &Arc<State>, path: &std::path::Path) -> std::io::Result<()> {
+fn recover_jobs(state: &Plane, path: &std::path::Path) -> std::io::Result<()> {
     let rec = recover(path)?;
+    if let Some(hook) = state.cluster.get() {
+        hook.recovered(&rec);
+    }
     if rec.skipped_lines > 0 {
         eprintln!(
             "esteem-serve: journal {}: skipped {} corrupt line(s) during recovery",
@@ -533,7 +628,7 @@ fn recover_jobs(state: &Arc<State>, path: &std::path::Path) -> std::io::Result<(
     Ok(())
 }
 
-fn requeue_recovered(state: &Arc<State>, job: &Arc<Job>) {
+fn requeue_recovered(state: &Plane, job: &Arc<Job>) {
     job.set_state(JobState::Queued);
     job.born_at_us
         .store(state.metrics.now_us(), Ordering::Relaxed);
@@ -551,11 +646,14 @@ fn requeue_recovered(state: &Arc<State>, job: &Arc<Job>) {
 
 /// One resident worker: pops jobs in priority/fairness order and runs
 /// each to a terminal state, until the queue is closed and drained.
-fn worker_loop(state: &Arc<State>, worker: usize) {
+fn worker_loop(state: &Plane, worker: usize) {
     while let Some(queued) = state.queue.pop_blocking() {
         let Some(job) = state.job(queued.job_id) else {
             continue;
         };
+        // `submit` holds the inflight lock until the job's submit line is
+        // written: waiting for it here keeps `start` (and `done`) after it.
+        drop(state.inflight.lock().unwrap_or_else(|e| e.into_inner()));
         state.journal.start(job.id);
         job.set_state(JobState::Running);
         let queue_wait_us = state
@@ -571,7 +669,7 @@ fn worker_loop(state: &Arc<State>, worker: usize) {
 }
 
 /// Records the queue-wait span for a job that just left the queue.
-fn emit_queue_wait(state: &Arc<State>, job: &Arc<Job>) {
+fn emit_queue_wait(state: &Plane, job: &Arc<Job>) {
     let t = &state.tracer;
     if !t.enabled(EventKind::Span) {
         return;
@@ -587,7 +685,7 @@ fn emit_queue_wait(state: &Arc<State>, job: &Arc<Job>) {
 
 /// Runs one job on its worker thread with panic isolation, timing each
 /// pipeline stage for the histograms and the flight recorder.
-fn execute(state: &Arc<State>, job: &Arc<Job>, queue_wait_us: u64) {
+fn execute(state: &Plane, job: &Arc<Job>, queue_wait_us: u64) {
     let fp = job.fingerprint;
     // Stage durations land here from inside the panic-isolated closure;
     // on a panic whatever stages completed keep their timings.
@@ -603,38 +701,38 @@ fn execute(state: &Arc<State>, job: &Arc<Job>, queue_wait_us: u64) {
             cached
         };
         if let Some(report) = cached {
-            return report;
+            return Ok(Some(report));
         }
         let _span = state.tracer.span("job.run");
-        let resolved = job
-            .spec
-            .resolve()
-            .expect("spec resolved at submit; workloads/techniques are static");
-        let sim = Simulator::new(resolved.cfg, &resolved.profiles, &resolved.label).with_observer(
-            Box::new(EventSink {
-                events: Arc::clone(&job.events),
-            }),
-        );
         let t0 = Instant::now();
-        let report = sim.run();
+        let report = match state.runner.run(state, job) {
+            RunOutcome::Done(report) => report,
+            RunOutcome::Failed(msg) => return Err(msg),
+            RunOutcome::Abandoned => return Ok(None),
+        };
         run_us.store(elapsed_us(t0), Ordering::Relaxed);
-        let report = Arc::new(report);
         let t0 = Instant::now();
         runcache::insert(fp, Arc::clone(&report));
         serialize_us.store(elapsed_us(t0), Ordering::Relaxed);
-        report
+        Ok(Some(report))
     }));
+    let result = result.unwrap_or_else(|payload| Err(esteem_par::panic_message(payload.as_ref())));
     let (outcome, terminal) = match result {
-        Ok(report) => {
+        Ok(Some(report)) => {
             state.journal.done(job.id);
             state.counters.completed.fetch_add(1, Ordering::Relaxed);
             (Outcome::Done, JobState::Done(report))
         }
-        Err(payload) => {
-            let msg = esteem_par::panic_message(payload.as_ref());
+        Err(msg) => {
             state.journal.fail(job.id, &msg);
             state.counters.failed.fetch_add(1, Ordering::Relaxed);
             (Outcome::Failed, JobState::Failed(msg))
+        }
+        // Shutting down: the job stays unfinished, in the table and in
+        // the journal, and `Daemon::wait` closes its events.
+        Ok(None) => {
+            job.set_state(JobState::Queued);
+            return;
         }
     };
     let cache_lookup_us = cache_lookup_us.load(Ordering::Relaxed);
@@ -681,7 +779,7 @@ fn elapsed_us(t0: Instant) -> u64 {
 
 /// Best-effort crash dump: recent job timings + the tracer ring, as the
 /// `/v1/flight-recorder` body, written to the configured path.
-fn dump_flight_recorder(state: &State) {
+fn dump_flight_recorder(state: &Plane) {
     let Some(path) = &state.flight_dump else {
         return;
     };
@@ -722,7 +820,7 @@ impl Reject {
 /// `Retry-After` hint for queue-full sheds: queue-wait p50 says how
 /// long a slot typically takes to open; default 1s before any job has
 /// flowed through, capped so a latency spike cannot park clients.
-fn queue_full_retry_hint_ms(state: &State) -> u64 {
+fn queue_full_retry_hint_ms(state: &Plane) -> u64 {
     let snap = state.metrics.queue_wait_us.snapshot();
     if snap.count() == 0 {
         return 1_000;
@@ -730,7 +828,7 @@ fn queue_full_retry_hint_ms(state: &State) -> u64 {
     (snap.quantile(0.5) / 1_000).clamp(1, 30_000)
 }
 
-fn submit(state: &Arc<State>, spec: JobSpec) -> Result<Submitted, Reject> {
+fn submit(state: &Plane, spec: JobSpec, sweep: Option<u64>) -> Result<Submitted, Reject> {
     let born_at_us = state.metrics.now_us();
     let resolved = spec.resolve().map_err(|e| {
         state.counters.rejected.fetch_add(1, Ordering::Relaxed);
@@ -760,7 +858,7 @@ fn submit(state: &Arc<State>, spec: JobSpec) -> Result<Submitted, Reject> {
     if let Some(report) = hit {
         drop(inflight);
         let id = state.alloc_id();
-        state.journal.cached(id, fp, &spec);
+        state.journal.cached(id, sweep, fp, &spec);
         state.counters.submitted.fetch_add(1, Ordering::Relaxed);
         state.counters.cached.fetch_add(1, Ordering::Relaxed);
         state.counters.completed.fetch_add(1, Ordering::Relaxed);
@@ -795,14 +893,20 @@ fn submit(state: &Arc<State>, spec: JobSpec) -> Result<Submitted, Reject> {
     // the entry the instant `push` releases the queue lock, and it must
     // find the job in the table.
     state.add_job(Arc::clone(&job));
-    match state.queue.push(QueuedJob {
+    let queued = QueuedJob {
         job_id: id,
         priority: spec.priority,
         client: spec.client.clone(),
-    }) {
+    };
+    // A sweep's cells were accepted as a whole; they queue past the cap.
+    let pushed = match sweep {
+        Some(_) => state.queue.push_recovered(queued),
+        None => state.queue.push(queued),
+    };
+    match pushed {
         Ok(()) => {
             inflight.insert(fp, id);
-            state.journal.submit(id, None, fp, &spec);
+            state.journal.submit(id, sweep, fp, &spec);
             state.counters.submitted.fetch_add(1, Ordering::Relaxed);
             Ok(Submitted::New(id))
         }
@@ -882,7 +986,7 @@ fn job_status_body(id: u64, tracked: &Tracked) -> String {
     serde_json::to_string(&Value::Map(m)).expect("serializes")
 }
 
-fn metrics_body(state: &State) -> String {
+fn metrics_body(state: &Plane) -> String {
     let mut r = StatsReading::new();
     r.register("serve", &state.counters);
     r.register("serve", &state.metrics);
@@ -906,13 +1010,8 @@ fn metrics_body(state: &State) -> String {
         s.counter("disk_evictions", cs.disk_evictions);
         s.gauge("mem_entries", cs.mem_entries as f64);
     });
-    let agent = state
-        .cluster
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .clone();
-    if let Some(agent) = agent {
-        r.register("cluster", &*agent);
+    if let Some(hook) = state.cluster.get() {
+        r.scope("cluster", |s| hook.metrics(s));
     }
     let hc = state
         .http_counters
@@ -957,7 +1056,7 @@ fn stage_value(snap: &HistogramSnapshot) -> Value {
 /// `GET /v1/status`: one JSON snapshot of everything `esteem-top`
 /// renders — identity, uptime, queue/jobs, run-cache hit rate, worker
 /// utilization, and per-stage latency percentiles.
-fn status_body(state: &State) -> String {
+fn status_body(state: &Plane) -> String {
     let mut by_state = [0u64; 4]; // queued, running, done, failed
     let tracked = {
         let jobs = state.jobs.lock().unwrap_or_else(|e| e.into_inner());
@@ -1067,25 +1166,20 @@ fn status_body(state: &State) -> String {
             (state.flight.len() as u64).to_value(),
         ),
     ]);
-    let agent = state
-        .cluster
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .clone();
-    if let (Some(agent), Value::Map(m)) = (agent, &mut body) {
-        m.push(("cluster".into(), agent.status_value()));
+    if let (Some(hook), Value::Map(m)) = (state.cluster.get(), &mut body) {
+        m.push(("cluster".into(), hook.status_value(state)));
     }
     serde_json::to_string(&body).expect("serializes")
 }
 
 /// `GET /v1/flight-recorder` (and the crash dump): recent job timings
 /// plus the tracer's buffered events, non-destructively.
-fn flight_recorder_body(state: &State) -> String {
+fn flight_recorder_body(state: &Plane) -> String {
     let v = flight_dump_value(&state.flight.snapshot(), &state.tracer.snapshot());
     serde_json::to_string(&v).expect("serializes")
 }
 
-fn make_handler(state: Arc<State>) -> Handler {
+fn make_handler(state: Arc<Plane>) -> Handler {
     Arc::new(move |req| {
         let parts: Vec<&str> = req.path.split('/').filter(|p| !p.is_empty()).collect();
         match (req.method.as_str(), parts.as_slice()) {
@@ -1099,7 +1193,7 @@ fn make_handler(state: Arc<State>) -> Handler {
                     Err(e) => return json_err(400, &format!("bad job spec: {e}")),
                 };
                 let submit_t0 = Instant::now();
-                let outcome = submit(&state, spec);
+                let outcome = submit(&state, spec, None);
                 state.metrics.submit_us.record(elapsed_us(submit_t0));
                 match outcome {
                     Ok(outcome) => {
@@ -1158,8 +1252,13 @@ fn make_handler(state: Arc<State>) -> Handler {
                 state.request_shutdown();
                 HandlerResult::Json(200, "{\"shutting_down\":true}".into())
             }
-            ("POST" | "GET", _) => json_err(404, "no such endpoint"),
-            _ => json_err(405, "method not allowed"),
+            _ => match state.cluster.get().and_then(|hook| hook.route(&state, req)) {
+                Some(response) => response,
+                None if matches!(req.method.as_str(), "POST" | "GET") => {
+                    json_err(404, "no such endpoint")
+                }
+                None => json_err(405, "method not allowed"),
+            },
         }
     })
 }

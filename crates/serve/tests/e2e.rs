@@ -1104,3 +1104,51 @@ fn pause_on_an_idle_daemon_holds_new_submissions() {
     daemon.shutdown();
     daemon.wait();
 }
+
+/// An idle worker pops a job the moment it is queued, yet the job's
+/// `start` and `done` lines still follow its `submit` line: a `done`
+/// ahead of its `submit` replays as a corrupt line and the job re-runs.
+#[test]
+fn journal_lines_of_a_job_follow_its_submit() {
+    let dir = std::env::temp_dir().join(format!("esteem-e2e-order-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let journal = dir.join("journal.jsonl");
+    let daemon = spawn(ServerOptions {
+        journal_path: Some(journal.clone()),
+        ..opts()
+    })
+    .unwrap();
+    let addr = daemon.addr().to_string();
+    let mut jobs = Vec::new();
+    for seed in 0..60 {
+        jobs.push(
+            client::submit(&addr, &quick(0x0DE0_0000 + seed))
+                .unwrap()
+                .job,
+        );
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    for job in jobs {
+        client::fetch(&addr, job, Duration::from_millis(5)).unwrap();
+    }
+    daemon.shutdown();
+    daemon.wait();
+
+    let text = std::fs::read_to_string(&journal).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut submitted = std::collections::HashSet::new();
+    for line in text.lines() {
+        let v: Value = serde_json::from_str(line).unwrap();
+        let m = v.as_map().unwrap();
+        let job = u64::from_value(map_get(m, "job").unwrap()).unwrap();
+        match map_get(m, "event").unwrap().as_str().unwrap() {
+            "submit" => assert!(submitted.insert(job), "job {job} submitted twice"),
+            event => assert!(
+                submitted.contains(&job),
+                "job {job}'s {event} line precedes its submit:\n{text}"
+            ),
+        }
+    }
+    assert_eq!(submitted.len(), 60);
+}

@@ -2,15 +2,22 @@
 # End-to-end smoke test of the cluster fabric (DESIGN.md §17).
 #
 # Scenario: coordinator + 2 workers on ephemeral localhost ports; a
-# 48-cell sweep; one worker SIGKILLed mid-sweep. Asserts that
+# 48-cell sweep; one worker SIGKILLed mid-sweep; then the coordinator
+# restarted as a new process on the same address and journal. Asserts
+# that
 #
 #   * the sweep still completes with zero failed cells,
 #   * the coordinator observed the node failure and re-dispatched work,
 #   * the merged sweep report is byte-identical to the same cells run
 #     single-node through `esteem-sim --json`,
-#   * a re-submitted cell is served from the surviving worker's run
-#     cache and counted in the coordinator's /metrics,
+#   * a re-submitted cell is answered from the coordinator's run cache
+#     (serve/jobs_cached in its /metrics),
+#   * `esteem-top --once` against the coordinator lists the members,
 #   * per-worker journals merge without done/failed conflicts,
+#   * a restarted coordinator re-learns w1 from its heartbeat, recovers
+#     the sweep from its journal, and streams the same report bytes; its
+#     run cache starts empty, so the recovered cells go to their ring
+#     owner and hit that worker's run cache,
 #   * the surviving worker deregisters gracefully on shutdown.
 #
 # Usage: scripts/cluster_smoke.sh [bin-dir]
@@ -25,7 +32,7 @@ DIR=${CLUSTER_SMOKE_DIR:-cluster-smoke}
 INSTR=200000
 CELLS=48 # seeds 1..24 x techniques {baseline, esteem}
 
-for exe in esteem-coord esteem-serve esteem-client esteem-sim; do
+for exe in esteem-coord esteem-serve esteem-client esteem-sim esteem-top; do
     if [ ! -x "$BIN/$exe" ]; then
         echo "missing $BIN/$exe (build with: cargo build --release --bins)" >&2
         exit 1
@@ -94,14 +101,14 @@ echo "== submit a $CELLS-cell sweep"
 SWEEP=$(sed -n 's/^sweep \([0-9]*\).*/\1/p' "$DIR/sweep.out")
 test -n "$SWEEP"
 
-# Prints cluster/<name> from the coordinator's /metrics as an integer
-# (gauges render as "3.0"; drop the fractional part).
+# Prints <name> (e.g. serve/jobs_completed) from the coordinator's
+# /metrics as an integer (gauges render as "3.0"; drop the fraction).
 metric() {
     "$BIN/esteem-client" "$COORD" metrics |
-        awk -v k="cluster/$1" '$1 == k { sub(/\..*$/, "", $2); print $2 }'
+        awk -v k="$1" '$1 == k { sub(/\..*$/, "", $2); print $2 }'
 }
 
-# Polls until cluster/<name> >= <want> (~30 s).
+# Polls until <name> >= <want> (~30 s).
 wait_metric_ge() {
     local name=$1 want=$2 v=
     for _ in $(seq 1 150); do
@@ -109,21 +116,21 @@ wait_metric_ge() {
         if [ -n "$v" ] && [ "$v" -ge "$want" ]; then return 0; fi
         sleep 0.2
     done
-    echo "timed out waiting for cluster/$name >= $want (last: ${v:-none})" >&2
+    echo "timed out waiting for $name >= $want (last: ${v:-none})" >&2
     return 1
 }
 
 echo "== SIGKILL w2 once a few cells have finished"
-wait_metric_ge jobs_done 3
+wait_metric_ge serve/jobs_completed 3
 kill -9 "$W2_PID"
-echo "killed w2 (pid $W2_PID) at jobs_done=$(metric jobs_done)"
+echo "killed w2 (pid $W2_PID) at jobs_completed=$(metric serve/jobs_completed)"
 
 echo "== sweep must still complete; stream the merged report"
 "$BIN/esteem-client" "$COORD" sweep-report "$SWEEP" --wait \
     >"$DIR/via_cluster.json"
 
-FAILURES=$(metric node_failures)
-REDISPATCHED=$(metric jobs_redispatched)
+FAILURES=$(metric cluster/node_failures)
+REDISPATCHED=$(metric cluster/jobs_redispatched)
 echo "node_failures=$FAILURES jobs_redispatched=$REDISPATCHED"
 [ "$FAILURES" -ge 1 ] || {
     echo "coordinator never declared w2 dead" >&2
@@ -133,7 +140,7 @@ echo "node_failures=$FAILURES jobs_redispatched=$REDISPATCHED"
     echo "no jobs were re-dispatched off the dead worker" >&2
     exit 1
 }
-[ "$(metric jobs_failed)" -eq 0 ] || {
+[ "$(metric serve/jobs_failed)" -eq 0 ] || {
     echo "sweep had failed cells" >&2
     exit 1
 }
@@ -149,17 +156,24 @@ done
 diff "$DIR/via_cluster.json" "$DIR/via_cli.json"
 echo "byte-identical across $CELLS cells"
 
-echo "== a re-submitted cell is served from the worker's run cache"
+echo "== a re-submitted cell is answered from the coordinator's run cache"
 for _ in 1 2; do
     "$BIN/esteem-client" "$COORD" submit --instructions "$INSTR" \
         --technique esteem --seed 1 gamess | tee "$DIR/resubmit.out"
     JOB=$(sed -n 's/^job \([0-9]*\).*/\1/p' "$DIR/resubmit.out")
     "$BIN/esteem-client" "$COORD" fetch "$JOB" >/dev/null
 done
-CACHED=$(metric jobs_cached_on_worker)
-echo "jobs_cached_on_worker=$CACHED"
+CACHED=$(metric serve/jobs_cached)
+echo "serve/jobs_cached=$CACHED"
 [ "$CACHED" -ge 1 ] || {
-    echo "re-submitted cell missed the worker run cache" >&2
+    echo "re-submitted cell missed the coordinator run cache" >&2
+    exit 1
+}
+
+echo "== esteem-top against the coordinator lists its members"
+"$BIN/esteem-top" "$COORD" --once | tee "$DIR/top.out"
+grep -q '^  w1 ' "$DIR/top.out" || {
+    echo "esteem-top does not list w1" >&2
     exit 1
 }
 
@@ -168,9 +182,29 @@ echo "== per-worker journals merge without conflicts"
     >"$DIR/merged-journal.json"
 grep -q '"conflicts": \[\]' "$DIR/merged-journal.json"
 
+echo "== restart the coordinator: same address, same journal, new process"
+"$BIN/esteem-client" "$COORD" shutdown
+wait_for "coordinator exit" sh -c "! kill -0 $COORD_PID 2>/dev/null"
+"$BIN/esteem-coord" --addr "$COORD" --heartbeat-timeout-ms 1000 \
+    --journal "$DIR/coord.jsonl" >"$DIR/coord2.out" &
+PIDS+=($!)
+COORD_PID=$!
+wait_for "restarted coordinator banner" grep -q "listening on " "$DIR/coord2.out"
+wait_for "w1 to re-register" sh -c "'$BIN/esteem-client' '$COORD' get /v1/cluster | grep -q '\"w1\"'"
+"$BIN/esteem-client" "$COORD" sweep-report "$SWEEP" --wait \
+    >"$DIR/via_restarted.json"
+diff "$DIR/via_restarted.json" "$DIR/via_cli.json"
+echo "restarted coordinator: byte-identical across $CELLS cells"
+ON_WORKER=$(metric cluster/jobs_cached_on_worker)
+echo "cluster/jobs_cached_on_worker=$ON_WORKER"
+[ "$ON_WORKER" -ge 1 ] || {
+    echo "recovered cells missed their owner's run cache" >&2
+    exit 1
+}
+
 echo "== graceful drain: w1 deregisters, coordinator exits"
 "$BIN/esteem-client" "$W1" shutdown
-wait_metric_ge deregistrations 1
+wait_metric_ge cluster/deregistrations 1
 "$BIN/esteem-client" "$COORD" shutdown
 wait_for "coordinator exit" sh -c "! kill -0 $COORD_PID 2>/dev/null"
 

@@ -24,10 +24,11 @@
 //! * [`serve`] — the `esteem-serve` job daemon (HTTP API, bounded
 //!   priority queue, run-cache dedupe, crash-safe journal) and its
 //!   client library;
-//! * [`cluster`] — the `esteem-coord` coordinator: shards sweeps across
-//!   N `esteem-serve` workers by run-cache fingerprint over a
-//!   consistent-hash ring, steals work from stragglers, re-dispatches
-//!   off dead nodes, and merges per-node journals;
+//! * [`cluster`] — the `esteem-coord` coordinator: an `esteem-serve`
+//!   daemon whose jobs run on N worker daemons, placed by run-cache
+//!   fingerprint over a consistent-hash ring with bounded loads and
+//!   re-dispatched off dead nodes, plus the sweep API and a merge of
+//!   per-node journals;
 //! * [`check`] — the differential oracle checker (`esteem-check`): a
 //!   naive reference model fuzzed in lockstep against the optimized
 //!   cache/refresh stack, with case minimization and reproducer replay.
