@@ -39,10 +39,14 @@ fn worker_opts(coordinator: &str, node_id: &str) -> ServerOptions {
     }
 }
 
+/// A cell with a short warm-up: the default 35 M-cycle warm-up costs
+/// seconds per cell in a debug build, and the fabric's behaviour does not
+/// depend on it.
 fn spec(seed: u64) -> JobSpec {
     JobSpec {
         workload: "gamess".into(),
         instructions: 200_000,
+        warmup: Some(200_000),
         seed,
         ..JobSpec::default()
     }

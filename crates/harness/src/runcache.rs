@@ -32,13 +32,14 @@
 //! the previous behavior. Evictions are counted in [`cache_stats`].
 
 use std::collections::HashMap;
+use std::fmt::{self, Write as _};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use esteem_core::{SimReport, Simulator, SystemConfig, Technique};
 use esteem_trace::{EventKind, TraceEvent, Tracer};
-use esteem_workloads::BenchmarkProfile;
+use esteem_workloads::{BenchmarkProfile, PhaseSpec};
 
 /// Bump when simulator behavior changes (invalidates persisted entries).
 pub const FINGERPRINT_VERSION: u32 = 1;
@@ -90,21 +91,108 @@ fn fnv1a(bytes: &[u8], mut h: u64) -> u64 {
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
+/// FNV-1a over everything formatted into it: hashes a `Debug` rendering
+/// as it is written, without building the string.
+struct Fnv(u64);
+
+impl fmt::Write for Fnv {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0 = fnv1a(s.as_bytes(), self.0);
+        Ok(())
+    }
+}
+
 /// Stable fingerprint of one simulation's inputs.
 ///
 /// Hashes the `Debug` rendering of the config and profiles plus the
 /// label. `SystemConfig` and `BenchmarkProfile` are plain data (every
 /// field shows up in `Debug`, including `sim_instructions` and `seed`),
 /// so two runs fingerprint equal iff they would simulate identically.
+/// A suite profile's rendering is made once and hashed from then on,
+/// for any profile equal to it bit for bit; the bytes hashed are the
+/// same.
 pub fn fingerprint(cfg: &SystemConfig, profiles: &[BenchmarkProfile], label: &str) -> u64 {
-    let mut h = fnv1a(
-        format!("v{FINGERPRINT_VERSION}|{label}|{cfg:?}").as_bytes(),
-        FNV_OFFSET,
-    );
+    let mut h = Fnv(FNV_OFFSET);
+    let _ = write!(h, "v{FINGERPRINT_VERSION}|{label}|{cfg:?}");
     for p in profiles {
-        h = fnv1a(format!("|{p:?}").as_bytes(), h);
+        match suite_text(p) {
+            Some(text) => h.0 = fnv1a(text.as_bytes(), h.0),
+            None => {
+                let _ = write!(h, "|{p:?}");
+            }
+        }
     }
-    h
+    h.0
+}
+
+/// `|{p:?}` for `p`, when `p` is one of the 34 suite profiles bit for
+/// bit. The texts are rendered on first use, one per suite profile. The
+/// key is the profile's value, not its name: a tuned copy that keeps a
+/// suite name differs in some field and is rendered afresh.
+fn suite_text(p: &BenchmarkProfile) -> Option<&'static str> {
+    static TEXTS: OnceLock<Vec<(BenchmarkProfile, String)>> = OnceLock::new();
+    TEXTS
+        .get_or_init(|| {
+            esteem_workloads::all_benchmarks()
+                .into_iter()
+                .map(|q| {
+                    let text = format!("|{q:?}");
+                    (q, text)
+                })
+                .collect()
+        })
+        .iter()
+        .find(|(q, _)| same_bits(p, q))
+        .map(|(_, text)| text.as_str())
+}
+
+/// Field-by-field equality with floats compared by bit pattern, so equal
+/// profiles have equal `Debug` text (`==` calls `0.0` and `-0.0` equal,
+/// and they print differently). The patterns name every field: a field
+/// added to either struct fails to compile here until it is compared.
+fn same_bits(a: &BenchmarkProfile, b: &BenchmarkProfile) -> bool {
+    let BenchmarkProfile {
+        name,
+        acronym,
+        suite,
+        cpi_base,
+        mlp,
+        phases,
+    } = a;
+    *name == b.name
+        && *acronym == b.acronym
+        && *suite == b.suite
+        && cpi_base.to_bits() == b.cpi_base.to_bits()
+        && mlp.to_bits() == b.mlp.to_bits()
+        && phases.len() == b.phases.len()
+        && phases.iter().zip(&b.phases).all(|(x, y)| {
+            let PhaseSpec {
+                duration_instrs,
+                mem_ratio,
+                write_ratio,
+                hot_blocks,
+                hot_weight,
+                ws_blocks,
+                locality_decay,
+                zones,
+                stream_frac,
+                stream_blocks,
+                scan_frac,
+                scan_blocks,
+            } = x;
+            *duration_instrs == y.duration_instrs
+                && mem_ratio.to_bits() == y.mem_ratio.to_bits()
+                && write_ratio.to_bits() == y.write_ratio.to_bits()
+                && *hot_blocks == y.hot_blocks
+                && hot_weight.to_bits() == y.hot_weight.to_bits()
+                && *ws_blocks == y.ws_blocks
+                && locality_decay.to_bits() == y.locality_decay.to_bits()
+                && *zones == y.zones
+                && stream_frac.to_bits() == y.stream_frac.to_bits()
+                && *stream_blocks == y.stream_blocks
+                && scan_frac.to_bits() == y.scan_frac.to_bits()
+                && *scan_blocks == y.scan_blocks
+        })
 }
 
 fn disk_dir() -> Option<PathBuf> {
@@ -461,6 +549,38 @@ mod tests {
         insert(fp, Arc::clone(&report));
         let hit = lookup(fp).expect("published report is returned");
         assert!(Arc::ptr_eq(&hit, &report), "a hit shares the stored report");
+    }
+
+    /// A profile that keeps a suite name but differs from the suite
+    /// profile, in a value or only in the sign of a zero, hashes by its
+    /// own `Debug` text, never by the stored suite text. The pinned values
+    /// are those of the formatting-only fingerprint.
+    #[test]
+    fn a_tuned_profile_keeping_a_suite_name_hashes_its_own_text() {
+        fn formatted(cfg: &SystemConfig, p: &BenchmarkProfile, label: &str) -> u64 {
+            let h = fnv1a(
+                format!("v{FINGERPRINT_VERSION}|{label}|{cfg:?}").as_bytes(),
+                FNV_OFFSET,
+            );
+            fnv1a(format!("|{p:?}").as_bytes(), h)
+        }
+        let cfg = single_core_cfg(Technique::Baseline, Scale::Bench, 50.0);
+        let suite = profile();
+        let mut cpi = profile();
+        cpi.cpi_base += 0.25;
+        let mut neg_zero = profile();
+        assert_eq!(neg_zero.phases[0].scan_frac.to_bits(), 0.0f64.to_bits());
+        neg_zero.phases[0].scan_frac = -0.0;
+        assert_eq!(neg_zero, suite, "`==` cannot tell -0.0 from 0.0");
+        for (p, pinned) in [
+            (&suite, 0xd6ea_0ae0_0cc4_c993),
+            (&cpi, 0xb82b_211e_7573_66b5),
+            (&neg_zero, 0x8dbd_9ee2_7a28_5f08),
+        ] {
+            let fp = fingerprint(&cfg, std::slice::from_ref(p), "gamess");
+            assert_eq!(fp, formatted(&cfg, p, "gamess"));
+            assert_eq!(fp, pinned, "{fp:016x}");
+        }
     }
 
     #[test]

@@ -579,7 +579,8 @@ pub fn submit_with(
     policy: &RetryPolicy,
     read_timeout: Duration,
 ) -> Result<SubmitResponse, String> {
-    let body = serde_json::to_string(spec).map_err(|e| format!("encoding spec: {e}"))?;
+    let mut body = String::with_capacity(256);
+    spec.write_json(&mut body);
     let mut attempt = 0u32;
     loop {
         match request_once(addr, "POST", "/v1/jobs", Some(&body), read_timeout) {

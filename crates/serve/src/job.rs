@@ -12,6 +12,7 @@
 //! unknown fields are rejected with the offending name (a typo in a
 //! sweep script should fail loudly at submit, not run the default).
 
+use std::fmt::Write as _;
 use std::sync::{Arc, Condvar, Mutex};
 
 use esteem_core::{AlgoParams, SimReport, SystemConfig, Technique};
@@ -74,6 +75,8 @@ impl Default for JobSpec {
     }
 }
 
+/// `JobSpec::write_json` writes the same JSON without the `Value`
+/// tree; change both together (a journal test pins them byte for byte).
 impl Serialize for JobSpec {
     fn to_value(&self) -> Value {
         let mut m: Vec<(String, Value)> = vec![
@@ -103,6 +106,59 @@ impl Serialize for JobSpec {
             ("client".into(), Value::Str(self.client.clone())),
         ]);
         Value::Map(m)
+    }
+}
+
+impl JobSpec {
+    /// Appends the spec as `serde_json::to_string(&spec.to_value())`
+    /// writes it: the journal's and the client's encoding of a spec.
+    pub(crate) fn write_json(&self, out: &mut String) {
+        out.push_str("{\"workload\":");
+        push_json_str(out, &self.workload);
+        out.push_str(",\"technique\":");
+        push_json_str(out, &self.technique);
+        out.push_str(",\"retention_us\":");
+        push_json_f64(out, self.retention_us);
+        let _ = write!(out, ",\"instructions\":{}", self.instructions);
+        out.push_str(",\"alpha\":");
+        push_json_f64(out, self.alpha);
+        let _ = write!(out, ",\"a_min\":{}", self.a_min);
+        if let Some(modules) = self.modules {
+            let _ = write!(out, ",\"modules\":{modules}");
+        }
+        let _ = write!(
+            out,
+            ",\"interval\":{},\"rs\":{},\"ecc_periods\":{},\"ecc_bits\":{},\"ways\":{},\"seed\":{}",
+            self.interval, self.rs, self.ecc_periods, self.ecc_bits, self.ways, self.seed
+        );
+        if let Some(warmup) = self.warmup {
+            let _ = write!(out, ",\"warmup\":{warmup}");
+        }
+        let _ = write!(out, ",\"priority\":{},\"client\":", self.priority);
+        push_json_str(out, &self.client);
+        out.push('}');
+    }
+}
+
+/// A float as `serde_json` writes it: `{:?}`, or `null` when not finite.
+fn push_json_f64(out: &mut String, f: f64) {
+    if f.is_finite() {
+        let _ = write!(out, "{f:?}");
+    } else {
+        out.push_str("null");
+    }
+}
+
+/// A JSON string as `serde_json` writes it. Text with nothing to escape,
+/// which is nearly all of it, is copied as is; the rest goes through
+/// `serde_json`.
+pub(crate) fn push_json_str(out: &mut String, s: &str) {
+    if s.bytes().all(|b| b >= 0x20 && b != b'"' && b != b'\\') {
+        out.push('"');
+        out.push_str(s);
+        out.push('"');
+    } else {
+        out.push_str(&serde_json::to_string(s).expect("a string serializes"));
     }
 }
 
@@ -393,6 +449,9 @@ pub struct Job {
     /// (microseconds since daemon start), the origin for the
     /// end-to-end stage latency; 0 until the job is accepted.
     pub born_at_us: std::sync::atomic::AtomicU64,
+    /// How long the run-cache lookup at submit took (0 for a job
+    /// recovered from the journal).
+    pub cache_lookup_us: std::sync::atomic::AtomicU64,
 }
 
 impl Job {
@@ -406,6 +465,7 @@ impl Job {
             coalesced: std::sync::atomic::AtomicU64::new(0),
             queued_at_us: std::sync::atomic::AtomicU64::new(0),
             born_at_us: std::sync::atomic::AtomicU64::new(0),
+            cache_lookup_us: std::sync::atomic::AtomicU64::new(0),
         }
     }
 
@@ -426,6 +486,7 @@ impl Job {
             coalesced: self.coalesced.load(std::sync::atomic::Ordering::Relaxed),
             state,
             events: self.events.lines().into_boxed_slice(),
+            status_tail: None,
         }
     }
 }
@@ -443,6 +504,10 @@ pub struct FinishedJob {
     pub state: JobState,
     /// The job's event lines (no allocation when it produced none).
     pub events: Box<[String]>,
+    /// The status body after its job id, rendered once, for the record
+    /// run-cache hits of one fingerprint share: each fetch splices its
+    /// own id in front. `None` renders on fetch.
+    pub status_tail: Option<Box<str>>,
 }
 
 #[cfg(test)]

@@ -27,20 +27,23 @@
 //!   is simply re-queued (the simulator is deterministic, so re-running
 //!   reproduces the identical report).
 //! * `fail` jobs come back failed with their recorded error.
-//! * submitted-but-unfinished jobs (crash mid-run) are re-queued.
+//! * submitted-but-unfinished jobs (crash mid-run) are re-queued, or
+//!   done (with a `done` line appended) when the run cache holds their
+//!   report.
 //! * if a job id is submitted twice, its outcomes resolve to the first
 //!   submit.
 //! * a torn final line (crash mid-write) is skipped, not fatal.
 
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::io::Write;
 use std::path::Path;
 use std::sync::Mutex;
 use std::time::{SystemTime, UNIX_EPOCH};
 
-use serde::{map_get, Deserialize, Serialize, Value};
+use serde::{map_get, Deserialize, Value};
 
-use crate::job::JobSpec;
+use crate::job::{push_json_str, JobSpec};
 
 /// Append-side handle. `Journal::none()` disables journaling (all
 /// records are dropped), which keeps call sites branch-free.
@@ -77,20 +80,13 @@ impl Journal {
         Self { file: None }
     }
 
-    fn record(&self, fields: Vec<(String, Value)>) {
-        self.records([fields]);
-    }
-
-    /// Appends records as consecutive lines under one lock and one flush.
-    fn records<const N: usize>(&self, records: [Vec<(String, Value)>; N]) {
+    /// Appends the lines `render` writes (each from [`open`] to
+    /// [`close`]) under one lock and one flush. `render` gets the line
+    /// stamp, in epoch seconds.
+    fn write(&self, render: impl FnOnce(&mut String, u64)) {
         let Some(file) = &self.file else { return };
-        let t = epoch_secs();
-        let mut text = String::new();
-        for mut fields in records {
-            fields.push(("t".into(), t.to_value()));
-            text += &serde_json::to_string(&Value::Map(fields)).expect("journal record serializes");
-            text.push('\n');
-        }
+        let mut text = String::with_capacity(512);
+        render(&mut text, epoch_secs());
         let mut w = file.lock().unwrap_or_else(|e| e.into_inner());
         // Flush per call: the journal exists for crash recovery, so a
         // record buffered in userspace is a record lost.
@@ -110,107 +106,126 @@ impl Journal {
 
     /// Records a coordinator sweep and its member jobs, in cell order.
     pub fn sweep(&self, sweep: u64, jobs: &[u64]) {
-        self.record(vec![
-            ("event".into(), Value::Str("sweep".into())),
-            ("sweep".into(), sweep.to_value()),
-            (
-                "jobs".into(),
-                Value::Seq(jobs.iter().map(|j| j.to_value()).collect()),
-            ),
-        ]);
+        self.write(|out, t| {
+            open(out, "sweep");
+            let _ = write!(out, ",\"sweep\":{sweep},\"jobs\":[");
+            for (i, job) in jobs.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                let _ = write!(out, "{job}");
+            }
+            out.push(']');
+            close(out, t);
+        });
     }
 
     /// Records a submitted job; `sweep` is the coordinator sweep it
     /// belongs to, if any.
     pub fn submit(&self, job: u64, sweep: Option<u64>, fingerprint: u64, spec: &JobSpec) {
-        self.record(submit_fields(job, sweep, fingerprint, spec));
+        self.write(|out, t| submit_line(out, t, job, sweep, fingerprint, spec));
     }
 
     /// Records a job answered from the run cache: its `submit` and
     /// `done` lines, in one write. A crash that tears the `done` line
     /// leaves the submit alone, which replays as unfinished (re-queued).
     pub fn cached(&self, job: u64, sweep: Option<u64>, fingerprint: u64, spec: &JobSpec) {
-        self.records([
-            submit_fields(job, sweep, fingerprint, spec),
-            done_fields(job),
-        ]);
+        self.write(|out, t| {
+            submit_line(out, t, job, sweep, fingerprint, spec);
+            job_line(out, t, "done", job);
+        });
     }
 
     /// Records that a duplicate submission coalesced onto job `into`.
     /// Coalesced submissions have no id of their own — they *are* the
     /// primary job — so only the target is recorded.
     pub fn coalesce(&self, into: u64) {
-        self.record(vec![
-            ("event".into(), Value::Str("coalesce".into())),
-            ("into".into(), into.to_value()),
-        ]);
+        self.write(|out, t| {
+            open(out, "coalesce");
+            let _ = write!(out, ",\"into\":{into}");
+            close(out, t);
+        });
     }
 
     pub fn start(&self, job: u64) {
-        self.record(vec![
-            ("event".into(), Value::Str("start".into())),
-            ("job".into(), job.to_value()),
-        ]);
+        self.write(|out, t| job_line(out, t, "start", job));
     }
 
     /// Records that the coordinator sent `job` to worker `node`.
     pub fn dispatch(&self, job: u64, node: &str) {
-        self.record(vec![
-            ("event".into(), Value::Str("dispatch".into())),
-            ("job".into(), job.to_value()),
-            ("node".into(), Value::Str(node.into())),
-        ]);
+        self.write(|out, t| {
+            open(out, "dispatch");
+            let _ = write!(out, ",\"job\":{job},\"node\":");
+            push_json_str(out, node);
+            close(out, t);
+        });
     }
 
     pub fn done(&self, job: u64) {
-        self.record(done_fields(job));
+        self.write(|out, t| job_line(out, t, "done", job));
     }
 
     pub fn fail(&self, job: u64, error: &str) {
-        self.record(vec![
-            ("event".into(), Value::Str("fail".into())),
-            ("job".into(), job.to_value()),
-            ("error".into(), Value::Str(error.into())),
-        ]);
+        self.write(|out, t| {
+            open(out, "fail");
+            let _ = write!(out, ",\"job\":{job},\"error\":");
+            push_json_str(out, error);
+            close(out, t);
+        });
     }
 
     /// Marks a compacted journal head. Carries the highest job id ever
     /// allocated so id allocation stays monotonic even when the records
     /// of the highest jobs (e.g. coalesced ones) were compacted away.
     pub fn compact_marker(&self, max_id: u64) {
-        self.record(vec![
-            ("event".into(), Value::Str("compact".into())),
-            ("max_id".into(), max_id.to_value()),
-        ]);
+        self.write(|out, t| {
+            open(out, "compact");
+            let _ = write!(out, ",\"max_id\":{max_id}");
+            close(out, t);
+        });
     }
 }
 
-fn submit_fields(
+// The lines are written straight into one buffer, in the bytes
+// `serde_json::to_string` gives the same fields as a `Value` map: keys in
+// the order below, `t` last, integers in decimal, and strings as
+// `push_json_str` writes them.
+
+/// Starts a line: `{"event":"<event>"`.
+fn open(out: &mut String, event: &str) {
+    out.push_str("{\"event\":\"");
+    out.push_str(event);
+    out.push('"');
+}
+
+/// Ends a line with its stamp: `,"t":<t>}` and a newline.
+fn close(out: &mut String, t: u64) {
+    let _ = writeln!(out, ",\"t\":{t}}}");
+}
+
+/// A line whose only field is the job id: `start` and `done`.
+fn job_line(out: &mut String, t: u64, event: &str, job: u64) {
+    open(out, event);
+    let _ = write!(out, ",\"job\":{job}");
+    close(out, t);
+}
+
+fn submit_line(
+    out: &mut String,
+    t: u64,
     job: u64,
     sweep: Option<u64>,
     fingerprint: u64,
     spec: &JobSpec,
-) -> Vec<(String, Value)> {
-    let mut fields = vec![
-        ("event".into(), Value::Str("submit".into())),
-        ("job".into(), job.to_value()),
-    ];
+) {
+    open(out, "submit");
+    let _ = write!(out, ",\"job\":{job}");
     if let Some(s) = sweep {
-        fields.push(("sweep".into(), s.to_value()));
+        let _ = write!(out, ",\"sweep\":{s}");
     }
-    fields.push((
-        "fingerprint".into(),
-        Value::Str(format!("{fingerprint:016x}")),
-    ));
-    fields.push(("spec".into(), spec.to_value()));
-    fields
-}
-
-fn done_fields(job: u64) -> Vec<(String, Value)> {
-    vec![
-        ("event".into(), Value::Str("done".into())),
-        ("job".into(), job.to_value()),
-    ]
+    let _ = write!(out, ",\"fingerprint\":\"{fingerprint:016x}\",\"spec\":");
+    spec.write_json(out);
+    close(out, t);
 }
 
 /// Outcome of one journaled job after replay.
@@ -426,6 +441,7 @@ pub fn compact(path: &Path) -> std::io::Result<CompactStats> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::Serialize;
 
     fn tmp(name: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("esteem-journal-{}-{name}", std::process::id()))
@@ -639,6 +655,128 @@ mod tests {
         assert_eq!(rec.skipped_lines, 1);
         assert_eq!(rec.jobs.len(), 1);
         assert_eq!(rec.jobs[0].outcome, RecoveredOutcome::Unfinished);
+    }
+
+    /// The direct renderer writes the bytes the `Value`-tree writer did:
+    /// every line kind, specs with a sweep, a warm-up, modules,
+    /// non-default and non-finite floats, and strings that need escaping.
+    #[test]
+    fn lines_match_the_value_tree_rendering() {
+        fn line(event: &str, mut fields: Vec<(&str, Value)>) -> String {
+            fields.insert(0, ("event", Value::Str(event.into())));
+            let m = fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect();
+            serde_json::to_string(&Value::Map(m)).unwrap()
+        }
+        fn submit(job: u64, sweep: Option<u64>, fp: u64, spec: &JobSpec) -> String {
+            let mut fields = vec![("job", job.to_value())];
+            if let Some(s) = sweep {
+                fields.push(("sweep", s.to_value()));
+            }
+            fields.push(("fingerprint", Value::Str(format!("{fp:016x}"))));
+            fields.push(("spec", spec.to_value()));
+            line("submit", fields)
+        }
+        let nasty = "q\"b\\c\u{1}n\nt\té✓\u{1f}";
+        let tuned = JobSpec {
+            workload: "GcGa".into(),
+            technique: "ecc".into(),
+            retention_us: 40.5,
+            instructions: 123_456_789,
+            alpha: 0.123_456_789,
+            a_min: 2,
+            modules: Some(4),
+            interval: 5_000_000,
+            rs: 32,
+            ecc_periods: 3,
+            ecc_bits: 2,
+            ways: 7,
+            seed: u64::MAX,
+            warmup: Some(200_000),
+            priority: 9,
+            client: nasty.into(),
+        };
+        let odd = JobSpec {
+            retention_us: 1e-7,
+            alpha: f64::NAN,
+            client: "plain".into(),
+            ..spec(2)
+        };
+        let path = tmp("value-tree.jsonl");
+        let _ = std::fs::remove_file(&path);
+        let j = Journal::open(&path).unwrap();
+        j.submit(1, None, 0x1, &spec(1));
+        j.submit(2, Some(3), 0xabc, &tuned);
+        j.cached(3, Some(4), u64::MAX, &tuned);
+        j.cached(4, None, 0, &odd);
+        j.start(2);
+        j.coalesce(2);
+        j.dispatch(2, nasty);
+        j.done(2);
+        j.fail(1, nasty);
+        j.sweep(5, &[]);
+        j.sweep(6, &[1, 2, 3]);
+        j.compact_marker(9);
+        // One kind of escape a label, so no other kind can cover a miss.
+        let labels = [
+            "q\"uote",
+            "back\\slash",
+            "ctl\u{1}",
+            "new\nline",
+            "tab\t",
+            "ünï✓",
+        ];
+        for label in labels {
+            j.dispatch(7, label);
+        }
+        drop(j);
+        let mut want = vec![
+            submit(1, None, 0x1, &spec(1)),
+            submit(2, Some(3), 0xabc, &tuned),
+            submit(3, Some(4), u64::MAX, &tuned),
+            line("done", vec![("job", 3u64.to_value())]),
+            submit(4, None, 0, &odd),
+            line("done", vec![("job", 4u64.to_value())]),
+            line("start", vec![("job", 2u64.to_value())]),
+            line("coalesce", vec![("into", 2u64.to_value())]),
+            line(
+                "dispatch",
+                vec![("job", 2u64.to_value()), ("node", Value::Str(nasty.into()))],
+            ),
+            line("done", vec![("job", 2u64.to_value())]),
+            line(
+                "fail",
+                vec![
+                    ("job", 1u64.to_value()),
+                    ("error", Value::Str(nasty.into())),
+                ],
+            ),
+            line(
+                "sweep",
+                vec![("sweep", 5u64.to_value()), ("jobs", Value::Seq(vec![]))],
+            ),
+            line(
+                "sweep",
+                vec![
+                    ("sweep", 6u64.to_value()),
+                    ("jobs", vec![1u64, 2, 3].to_value()),
+                ],
+            ),
+            line("compact", vec![("max_id", 9u64.to_value())]),
+        ];
+        want.extend(labels.map(|label| {
+            let node = Value::Str(label.into());
+            line("dispatch", vec![("job", 7u64.to_value()), ("node", node)])
+        }));
+        let text = std::fs::read_to_string(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        let got: Vec<&str> = text.lines().collect();
+        assert_eq!(got.len(), want.len(), "{text}");
+        for (got, want) in got.iter().zip(&want) {
+            // Swap the value-tree line's closing brace for the stamp.
+            let (head, stamp) = got.rsplit_once(",\"t\":").unwrap();
+            assert!(stamp.strip_suffix('}').unwrap().parse::<u64>().is_ok());
+            assert_eq!(format!("{head}}}"), *want);
+        }
     }
 
     #[test]

@@ -18,9 +18,9 @@
 //! * [`server`] — the daemon: resident worker threads that pop the
 //!   [`queue`] directly, run-cache-backed dedupe (identical in-flight
 //!   configs coalesce onto one execution), panic isolation, and the
-//!   JSON API. A worker that misses the run cache asks a [`Runner`] for
-//!   the report: the in-process simulator by default, a remote worker
-//!   on the `esteem-coord` coordinator.
+//!   JSON API. A worker asks a [`Runner`] for the report of a job that
+//!   missed the run cache: the in-process simulator by default, a remote
+//!   worker on the `esteem-coord` coordinator.
 //! * [`cluster`] — the [`ClusterHook`] through which a cluster role
 //!   adds routes, status and metrics, and a worker's membership agent.
 //! * [`observe`] — stage-latency histograms (submit, queue wait, cache

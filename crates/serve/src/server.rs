@@ -11,9 +11,9 @@
 //! configuration (the simulator validates with asserts) fails that one
 //! job while the daemon keeps serving.
 //!
-//! Every state transition is journaled; on restart, finished jobs are
-//! re-materialized from the run cache and unfinished ones are re-queued
-//! (see [`crate::journal`]).
+//! Every state transition is journaled; on restart, each job is looked
+//! up in the run cache: a hit is done, a miss is re-queued, a failed job
+//! stays failed (see [`crate::journal`]).
 
 use std::collections::HashMap;
 use std::net::SocketAddr;
@@ -154,56 +154,118 @@ impl Tracked {
     }
 }
 
-/// Jobs by id. Ids are allocated sequentially, so the table is a vector
-/// indexed by id: 16 bytes a job, and growth without rehashing. An id far
-/// past the end (only a strange journal can hold one) goes to a map
-/// instead of growing the vector to it.
+/// Jobs by id. Live jobs are few (the queue and the workers bound them)
+/// and sit in a map. Finished jobs are all the others, and the table
+/// keeps every one. A finished job names its record by number: each
+/// executed or failed job has a record of its own, and the run-cache
+/// hits of one fingerprint share one. Ids are allocated sequentially, so
+/// the numbers sit in a vector indexed by id, 4 bytes a job, grown
+/// without rehashing. A finished id far past the end (only a strange
+/// journal can hold one) goes to a map instead of growing the vector to
+/// it.
 #[derive(Default)]
 struct JobTable {
-    dense: Vec<Option<Tracked>>,
-    sparse: HashMap<u64, Tracked>,
+    live: HashMap<u64, Arc<Job>>,
+    /// Record `n` is `records[n - 1]`; 0 names none. A record whose job
+    /// id is reused (only a strange journal does that) stays here.
+    records: Vec<Arc<FinishedJob>>,
+    /// fingerprint -> the record its run-cache hits share.
+    shared: HashMap<u64, u32>,
+    /// Finished job id -> its record.
+    slots: Vec<u32>,
+    far: HashMap<u64, u32>,
     len: usize,
 }
 
-/// How far past the end of the dense vector an id may land.
+/// How far past the end of the slot vector an id may land.
 const MAX_ID_GAP: u64 = 1 << 16;
 
 impl JobTable {
-    fn get(&self, id: u64) -> Option<&Tracked> {
-        match usize::try_from(id).ok().and_then(|i| self.dense.get(i)) {
-            Some(slot) => slot.as_ref(),
-            None => self.sparse.get(&id),
+    fn get(&self, id: u64) -> Option<Tracked> {
+        if let Some(job) = self.live.get(&id) {
+            return Some(Tracked::Live(Arc::clone(job)));
         }
+        let record = match usize::try_from(id).ok().and_then(|i| self.slots.get(i)) {
+            Some(&record) => record,
+            None => *self.far.get(&id)?,
+        };
+        self.record(record)
+            .map(|f| Tracked::Finished(Arc::clone(f)))
     }
 
-    fn insert(&mut self, id: u64, job: Tracked) {
-        let end = self.dense.len() as u64;
-        let old = if id < end {
-            self.dense[id as usize].replace(job)
-        } else if id - end <= MAX_ID_GAP {
-            self.dense.resize(id as usize, None);
-            self.dense.push(Some(job));
-            None
-        } else {
-            self.sparse.insert(id, job)
+    fn record(&self, record: u32) -> Option<&Arc<FinishedJob>> {
+        self.records.get((record as usize).checked_sub(1)?)
+    }
+
+    /// Puts live `job` under its id, in place of what was there.
+    fn insert_live(&mut self, job: Arc<Job>) {
+        self.remove(job.id);
+        self.live.insert(job.id, job);
+        self.len += 1;
+    }
+
+    /// Finishes job `id` with a record of its own.
+    fn finish(&mut self, id: u64, record: FinishedJob) {
+        let record = self.push(record);
+        self.set(id, record);
+    }
+
+    /// Finishes job `id` as a run-cache hit of `fp`, with the record every
+    /// hit of `fp` shares: made, its status body rendered, on the first.
+    fn finish_cached(&mut self, id: u64, fp: u64, workload: &str, report: Arc<SimReport>) {
+        let shared = self.shared.get(&fp).copied().filter(|&n| {
+            self.record(n).is_some_and(|f| {
+                &*f.workload == workload
+                    && matches!(&f.state, JobState::Done(r) if Arc::ptr_eq(r, &report))
+            })
+        });
+        let record = match shared {
+            Some(n) => n,
+            None => {
+                let n = self.push(cached_record(fp, workload, report));
+                self.shared.insert(fp, n);
+                n
+            }
         };
-        self.len += usize::from(old.is_none());
+        self.set(id, record);
+    }
+
+    fn push(&mut self, record: FinishedJob) -> u32 {
+        self.records.push(Arc::new(record));
+        u32::try_from(self.records.len()).expect("fewer than 2^32 job records")
+    }
+
+    fn set(&mut self, id: u64, record: u32) {
+        self.remove(id);
+        let end = self.slots.len() as u64;
+        if id < end {
+            self.slots[id as usize] = record;
+        } else if id - end <= MAX_ID_GAP {
+            self.slots.resize(id as usize, 0);
+            self.slots.push(record);
+        } else {
+            self.far.insert(id, record);
+        }
+        self.len += 1;
     }
 
     fn remove(&mut self, id: u64) {
-        let old = match usize::try_from(id).ok().and_then(|i| self.dense.get_mut(i)) {
-            Some(slot) => slot.take(),
-            None => self.sparse.remove(&id),
-        };
-        self.len -= usize::from(old.is_some());
+        let old = self.live.remove(&id).is_some()
+            || match usize::try_from(id).ok().and_then(|i| self.slots.get_mut(i)) {
+                Some(slot) => std::mem::take(slot) != 0,
+                None => self.far.remove(&id).is_some(),
+            };
+        self.len -= usize::from(old);
     }
 
     fn len(&self) -> usize {
         self.len
     }
 
-    fn values(&self) -> impl Iterator<Item = &Tracked> {
-        self.dense.iter().flatten().chain(self.sparse.values())
+    /// The record of every finished job, shared ones once per job.
+    fn finished(&self) -> impl Iterator<Item = &Arc<FinishedJob>> {
+        let records = self.slots.iter().chain(self.far.values());
+        records.filter_map(|&n| self.record(n))
     }
 }
 
@@ -212,8 +274,6 @@ impl JobTable {
 /// [`Runner`] and a [`ClusterHook`] see the daemon through it.
 pub struct Plane {
     jobs: Mutex<JobTable>,
-    /// fingerprint -> the record run-cache hits of it share.
-    cached: Mutex<HashMap<u64, Arc<FinishedJob>>>,
     next_id: AtomicU64,
     /// fingerprint -> primary job id, for every job not yet terminal.
     inflight: Mutex<HashMap<u64, u64>>,
@@ -284,11 +344,7 @@ impl Plane {
     }
 
     fn tracked(&self, id: u64) -> Option<Tracked> {
-        self.jobs
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(id)
-            .cloned()
+        self.table().get(id)
     }
 
     /// The live (queued or running) job `id`.
@@ -299,46 +355,8 @@ impl Plane {
         }
     }
 
-    fn add_job(&self, job: Arc<Job>) {
-        self.jobs
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(job.id, Tracked::Live(job));
-    }
-
-    fn add_finished(&self, id: u64, job: Arc<FinishedJob>) {
-        self.jobs
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(id, Tracked::Finished(job));
-    }
-
-    /// The record a job answered from the run cache finishes with: shared
-    /// by every such job of `fp`, so a hit adds only its table entry.
-    fn cached_record(&self, fp: u64, workload: &str, report: Arc<SimReport>) -> Arc<FinishedJob> {
-        let mut records = self.cached.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(record) = records.get(&fp) {
-            let same_report = matches!(&record.state, JobState::Done(r) if Arc::ptr_eq(r, &report));
-            if same_report && &*record.workload == workload {
-                return Arc::clone(record);
-            }
-        }
-        let record = Arc::new(FinishedJob {
-            fingerprint: fp,
-            workload: workload.into(),
-            coalesced: 0,
-            state: JobState::Done(report),
-            events: Box::default(),
-        });
-        records.insert(fp, Arc::clone(&record));
-        record
-    }
-
-    fn remove_job(&self, id: u64) {
-        self.jobs
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .remove(id);
+    fn table(&self) -> std::sync::MutexGuard<'_, JobTable> {
+        self.jobs.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     fn alloc_id(&self) -> u64 {
@@ -370,9 +388,9 @@ pub enum RunOutcome {
     Abandoned,
 }
 
-/// Where a job's report comes from: the daemon's workers pop a job, miss
-/// the run cache, and ask the runner. It runs on the worker thread under
-/// `catch_unwind`; a panic fails the job.
+/// Where a job's report comes from: a job that missed the run cache is
+/// queued, and the daemon's worker that pops it asks the runner. It runs
+/// on the worker thread under `catch_unwind`; a panic fails the job.
 pub trait Runner: Send + Sync {
     fn run(&self, plane: &Plane, job: &Job) -> RunOutcome;
 }
@@ -481,16 +499,8 @@ impl Daemon {
         }
         // Every job is now terminal; close any event streams of jobs
         // that never ran.
-        for tracked in self
-            .state
-            .jobs
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .values()
-        {
-            if let Tracked::Live(job) = tracked {
-                job.events.close();
-            }
+        for job in self.state.table().live.values() {
+            job.events.close();
         }
         self.http_handle.stop();
         match self.http.take() {
@@ -525,7 +535,6 @@ pub fn spawn_with(
     };
     let state = Arc::new(Plane {
         jobs: Mutex::new(JobTable::default()),
-        cached: Mutex::new(HashMap::new()),
         next_id: AtomicU64::new(0),
         inflight: Mutex::new(HashMap::new()),
         queue: JobQueue::new(opts.queue_capacity).with_aging(opts.aging_pops),
@@ -607,21 +616,32 @@ fn recover_jobs(state: &Plane, path: &std::path::Path) -> std::io::Result<()> {
     state.next_id.store(rec.max_id, Ordering::Relaxed);
     for r in rec.jobs {
         let job = Job::new(r.id, r.spec, r.fingerprint);
-        let finished = match r.outcome {
-            // A result evicted from the cache re-runs (deterministic, so
-            // the client sees the identical report).
-            RecoveredOutcome::Done => runcache::lookup(r.fingerprint)
-                .map(|report| state.cached_record(r.fingerprint, &job.spec.workload, report)),
-            RecoveredOutcome::Failed(err) => Some(Arc::new(job.finished(JobState::Failed(err)))),
-            RecoveredOutcome::Unfinished => None,
-        };
-        match finished {
-            Some(finished) => state.add_finished(r.id, finished),
-            None => {
-                let job = Arc::new(job);
-                requeue_recovered(state, &job);
-                state.add_job(job);
+        match r.outcome {
+            RecoveredOutcome::Failed(err) => {
+                let record = job.finished(JobState::Failed(err));
+                state.table().finish(r.id, record);
             }
+            // Every job is looked up in the run cache once before it can
+            // run: at submit, or here; a worker runs what it pops. A
+            // result the cache does not hold re-runs (deterministic, so
+            // the client sees the identical report); an unfinished job
+            // whose result it holds is done.
+            outcome => match runcache::lookup(r.fingerprint) {
+                Some(report) => {
+                    if outcome == RecoveredOutcome::Unfinished {
+                        state.journal.done(r.id);
+                    }
+                    let workload = &job.spec.workload;
+                    state
+                        .table()
+                        .finish_cached(r.id, r.fingerprint, workload, report);
+                }
+                None => {
+                    let job = Arc::new(job);
+                    requeue_recovered(state, &job);
+                    state.table().insert_live(job);
+                }
+            },
         }
         state.counters.recovered.fetch_add(1, Ordering::Relaxed);
     }
@@ -683,26 +703,27 @@ fn emit_queue_wait(state: &Plane, job: &Arc<Job>) {
     });
 }
 
+/// Records a span named `name` from `t0` to now.
+fn emit_span_since(t: &Tracer, name: &str, t0: Instant) {
+    t.emit(EventKind::Span, || {
+        let dur_us = t0.elapsed().as_secs_f64() * 1e6;
+        TraceEvent::Span {
+            name: name.to_owned(),
+            start_us: (t.elapsed_us() - dur_us).max(0.0),
+            dur_us,
+        }
+    });
+}
+
 /// Runs one job on its worker thread with panic isolation, timing each
 /// pipeline stage for the histograms and the flight recorder.
 fn execute(state: &Plane, job: &Arc<Job>, queue_wait_us: u64) {
     let fp = job.fingerprint;
     // Stage durations land here from inside the panic-isolated closure;
     // on a panic whatever stages completed keep their timings.
-    let cache_lookup_us = AtomicU64::new(0);
     let run_us = AtomicU64::new(0);
     let serialize_us = AtomicU64::new(0);
     let result = catch_unwind(AssertUnwindSafe(|| {
-        let cached = {
-            let _span = state.tracer.span("job.cache_lookup");
-            let t0 = Instant::now();
-            let cached = runcache::lookup(fp);
-            cache_lookup_us.store(elapsed_us(t0), Ordering::Relaxed);
-            cached
-        };
-        if let Some(report) = cached {
-            return Ok(Some(report));
-        }
         let _span = state.tracer.span("job.run");
         let t0 = Instant::now();
         let report = match state.runner.run(state, job) {
@@ -735,10 +756,9 @@ fn execute(state: &Plane, job: &Arc<Job>, queue_wait_us: u64) {
             return;
         }
     };
-    let cache_lookup_us = cache_lookup_us.load(Ordering::Relaxed);
+    let cache_lookup_us = job.cache_lookup_us.load(Ordering::Relaxed);
     let run_us = run_us.load(Ordering::Relaxed);
     let serialize_us = serialize_us.load(Ordering::Relaxed);
-    state.metrics.cache_lookup_us.record(cache_lookup_us);
     if run_us > 0 {
         state.metrics.run_us.record(run_us);
         state.metrics.serialize_us.record(serialize_us);
@@ -768,7 +788,7 @@ fn execute(state: &Plane, job: &Arc<Job>, queue_wait_us: u64) {
         // after its coalesced count is copied into the compact record.
         let mut inflight = state.inflight.lock().unwrap_or_else(|e| e.into_inner());
         inflight.remove(&fp);
-        state.add_finished(job.id, Arc::new(job.finished(terminal)));
+        state.table().finish(job.id, job.finished(terminal));
     }
     job.events.close();
 }
@@ -851,10 +871,12 @@ fn submit(state: &Plane, spec: JobSpec, sweep: Option<u64>) -> Result<Submitted,
         inflight.remove(&fp);
     }
 
-    // Run-cache hit: the job is born done.
+    // The job's one run-cache lookup (see `recover_jobs`). A hit is born
+    // done.
     let lookup_t0 = Instant::now();
     let hit = runcache::lookup(fp);
     let cache_lookup_us = elapsed_us(lookup_t0);
+    state.metrics.cache_lookup_us.record(cache_lookup_us);
     if let Some(report) = hit {
         drop(inflight);
         let id = state.alloc_id();
@@ -862,9 +884,7 @@ fn submit(state: &Plane, spec: JobSpec, sweep: Option<u64>) -> Result<Submitted,
         state.counters.submitted.fetch_add(1, Ordering::Relaxed);
         state.counters.cached.fetch_add(1, Ordering::Relaxed);
         state.counters.completed.fetch_add(1, Ordering::Relaxed);
-        let record = state.cached_record(fp, &spec.workload, report);
-        state.add_finished(id, record);
-        state.metrics.cache_lookup_us.record(cache_lookup_us);
+        state.table().finish_cached(id, fp, &spec.workload, report);
         let e2e_us = state.metrics.now_us().saturating_sub(born_at_us);
         state
             .metrics
@@ -884,15 +904,18 @@ fn submit(state: &Plane, spec: JobSpec, sweep: Option<u64>) -> Result<Submitted,
         return Ok(Submitted::Cached(id));
     }
 
+    emit_span_since(&state.tracer, "job.cache_lookup", lookup_t0);
     let id = state.alloc_id();
     let job = Arc::new(Job::new(id, spec.clone(), fp));
     job.queued_at_us
         .store(state.tracer.elapsed_us().to_bits(), Ordering::Relaxed);
     job.born_at_us.store(born_at_us, Ordering::Relaxed);
+    job.cache_lookup_us
+        .store(cache_lookup_us, Ordering::Relaxed);
     // Publish the job before enqueueing its id: a worker may pop
     // the entry the instant `push` releases the queue lock, and it must
     // find the job in the table.
-    state.add_job(Arc::clone(&job));
+    state.table().insert_live(Arc::clone(&job));
     let queued = QueuedJob {
         job_id: id,
         priority: spec.priority,
@@ -911,7 +934,7 @@ fn submit(state: &Plane, spec: JobSpec, sweep: Option<u64>) -> Result<Submitted,
             Ok(Submitted::New(id))
         }
         Err(PushError::Full) => {
-            state.remove_job(id);
+            state.table().remove(id);
             state.counters.shed.fetch_add(1, Ordering::Relaxed);
             Err(Reject {
                 status: 429,
@@ -920,7 +943,7 @@ fn submit(state: &Plane, spec: JobSpec, sweep: Option<u64>) -> Result<Submitted,
             })
         }
         Err(PushError::Closed) => {
-            state.remove_job(id);
+            state.table().remove(id);
             Err(Reject::plain(503, "daemon is shutting down"))
         }
     }
@@ -956,18 +979,40 @@ fn reject_response(reject: &Reject) -> HandlerResult {
     }
 }
 
-/// `GET /v1/jobs/{id}`: the same bytes for a live job and its compact
-/// record.
+/// `GET /v1/jobs/{id}`: the same bytes for a live job, its compact
+/// record, and a shared cached record's stored text.
 fn job_status_body(id: u64, tracked: &Tracked) -> String {
-    let (workload, fingerprint, coalesced) = match tracked {
-        Tracked::Live(job) => (
-            &*job.spec.workload,
+    match tracked {
+        Tracked::Live(job) => render_status(
+            id,
+            &job.spec.workload,
             job.fingerprint,
             job.coalesced.load(Ordering::Relaxed),
+            &job.state(),
         ),
-        Tracked::Finished(f) => (&*f.workload, f.fingerprint, f.coalesced),
-    };
-    let state = tracked.state();
+        Tracked::Finished(f) => match &f.status_tail {
+            Some(tail) => {
+                let mut body = String::with_capacity(tail.len() + 28);
+                body.push_str(STATUS_HEAD);
+                body.push_str(&id.to_string());
+                body.push_str(tail);
+                body
+            }
+            None => render_status(id, &f.workload, f.fingerprint, f.coalesced, &f.state),
+        },
+    }
+}
+
+/// What every status body starts with, before its job id.
+const STATUS_HEAD: &str = "{\"job\":";
+
+fn render_status(
+    id: u64,
+    workload: &str,
+    fingerprint: u64,
+    coalesced: u64,
+    state: &JobState,
+) -> String {
     let mut m: Vec<(String, Value)> = vec![
         ("job".into(), id.to_value()),
         ("state".into(), Value::Str(state.name().into())),
@@ -980,10 +1025,29 @@ fn job_status_body(id: u64, tracked: &Tracked) -> String {
     ];
     match state {
         JobState::Done(report) => m.push(("result".into(), report.to_value())),
-        JobState::Failed(err) => m.push(("error".into(), Value::Str(err))),
+        JobState::Failed(err) => m.push(("error".into(), Value::Str(err.clone()))),
         _ => {}
     }
     serde_json::to_string(&Value::Map(m)).expect("serializes")
+}
+
+/// The record run-cache hits of `fp` share, with its status body
+/// rendered once (everything after the job id).
+fn cached_record(fp: u64, workload: &str, report: Arc<SimReport>) -> FinishedJob {
+    let state = JobState::Done(report);
+    let body = render_status(0, workload, fp, 0, &state);
+    let tail = body
+        .strip_prefix(STATUS_HEAD)
+        .and_then(|rest| rest.strip_prefix('0'))
+        .expect("a status body starts with its job id");
+    FinishedJob {
+        fingerprint: fp,
+        workload: workload.into(),
+        coalesced: 0,
+        state,
+        events: Box::default(),
+        status_tail: Some(tail.into()),
+    }
 }
 
 fn metrics_body(state: &Plane) -> String {
@@ -993,10 +1057,7 @@ fn metrics_body(state: &Plane) -> String {
     r.register("pool", &state.workers);
     r.scope("serve", |s| {
         s.gauge("queue_depth", state.queue.len() as f64);
-        s.gauge(
-            "jobs_tracked",
-            state.jobs.lock().unwrap_or_else(|e| e.into_inner()).len() as f64,
-        );
+        s.gauge("jobs_tracked", state.table().len() as f64);
         // Constant-1 info metric: the labels carry the payload.
         s.counter(
             &labeled("build_info", &[("version", VERSION), ("git", GIT_HASH)]),
@@ -1058,16 +1119,22 @@ fn stage_value(snap: &HistogramSnapshot) -> Value {
 /// utilization, and per-stage latency percentiles.
 fn status_body(state: &Plane) -> String {
     let mut by_state = [0u64; 4]; // queued, running, done, failed
+    let mut count = |state: &JobState| {
+        let i = match state {
+            JobState::Queued => 0,
+            JobState::Running => 1,
+            JobState::Done(_) => 2,
+            JobState::Failed(_) => 3,
+        };
+        by_state[i] += 1;
+    };
     let tracked = {
-        let jobs = state.jobs.lock().unwrap_or_else(|e| e.into_inner());
-        for tracked in jobs.values() {
-            let i = match tracked.state() {
-                JobState::Queued => 0,
-                JobState::Running => 1,
-                JobState::Done(_) => 2,
-                JobState::Failed(_) => 3,
-            };
-            by_state[i] += 1;
+        let jobs = state.table();
+        for job in jobs.live.values() {
+            count(&job.state());
+        }
+        for f in jobs.finished() {
+            count(&f.state);
         }
         jobs.len() as u64
     };
@@ -1202,12 +1269,9 @@ fn make_handler(state: Arc<Plane>) -> Handler {
                             Submitted::Coalesced(id) => (id, true, false),
                             Submitted::Cached(id) => (id, false, true),
                         };
-                        let body = serde_json::to_string(&Value::Map(vec![
-                            ("job".into(), id.to_value()),
-                            ("coalesced".into(), Value::Bool(coalesced)),
-                            ("cached".into(), Value::Bool(cached)),
-                        ]))
-                        .expect("serializes");
+                        let body = format!(
+                            "{{\"job\":{id},\"coalesced\":{coalesced},\"cached\":{cached}}}"
+                        );
                         HandlerResult::Json(202, body)
                     }
                     Err(reject) => reject_response(&reject),
@@ -1303,25 +1367,84 @@ mod tests {
 
     #[test]
     fn job_table_is_dense_by_id_and_maps_far_ids() {
-        let record =
-            Arc::new(Job::new(0, JobSpec::default(), 1).finished(JobState::Failed("x".into())));
+        let failed = || Job::new(0, JobSpec::default(), 1).finished(JobState::Failed("x".into()));
         let mut table = JobTable::default();
         for id in [3, 1, 2] {
-            table.insert(id, Tracked::Finished(Arc::clone(&record)));
+            table.finish(id, failed());
         }
         let far = 1 << 40;
-        table.insert(far, Tracked::Finished(Arc::clone(&record)));
-        assert_eq!(table.dense.len(), 4, "slots 0..=3");
-        assert_eq!(table.sparse.len(), 1);
+        table.finish(far, failed());
+        assert_eq!(table.slots, vec![0, 2, 3, 1], "4-byte slots 0..=3");
+        assert_eq!(table.far.len(), 1);
         assert_eq!(table.len(), 4);
         assert!(table.get(far).is_some() && table.get(2).is_some());
         assert!(table.get(0).is_none() && table.get(4).is_none());
-        table.insert(2, Tracked::Finished(Arc::clone(&record)));
+        table.finish(2, failed());
         table.remove(2);
         table.remove(far);
         table.remove(99);
         assert_eq!(table.len(), 2);
-        assert_eq!(table.values().count(), 2);
+        assert_eq!(table.finished().count(), 2);
         assert!(table.get(2).is_none() && table.get(far).is_none());
+
+        // A live job replaces the record under its id, and its record
+        // replaces it again.
+        let live = Arc::new(Job::new(1, JobSpec::default(), 1));
+        table.insert_live(Arc::clone(&live));
+        assert!(matches!(table.get(1), Some(Tracked::Live(_))));
+        assert_eq!((table.len(), table.live.len()), (2, 1));
+        table.finish(1, live.finished(JobState::Failed("y".into())));
+        assert!(matches!(table.get(1), Some(Tracked::Finished(_))));
+        assert_eq!((table.len(), table.live.len()), (2, 0));
+    }
+
+    /// Run-cache hits of one fingerprint share one record; a new report
+    /// for the fingerprint gets a new record, and earlier hits keep theirs.
+    #[test]
+    fn cached_hits_of_a_fingerprint_share_a_record() {
+        let (a, b) = (report(), report());
+        let mut table = JobTable::default();
+        table.finish_cached(1, 0xf, "gamess", Arc::clone(&a));
+        table.finish_cached(2, 0xf, "gamess", Arc::clone(&a));
+        table.finish_cached(3, 0xe, "gamess", Arc::clone(&a));
+        table.finish_cached(4, 0xf, "gamess", Arc::clone(&b));
+        assert_eq!(table.slots, vec![0, 1, 1, 2, 3]);
+        assert_eq!(table.records.len(), 3);
+        let record = |id| match table.get(id) {
+            Some(Tracked::Finished(f)) => f,
+            _ => panic!("job {id} is not finished"),
+        };
+        assert!(Arc::ptr_eq(&record(1), &record(2)));
+        assert!(matches!(&record(4).state, JobState::Done(r) if Arc::ptr_eq(r, &b)));
+        assert_eq!(table.finished().count(), 4);
+    }
+
+    /// A shared cached record's status body, its job id spliced in front
+    /// of the stored text, is the body a live job of the same
+    /// fingerprint renders, for any id.
+    #[test]
+    fn cached_status_body_renders_like_the_slow_path() {
+        let spec = JobSpec {
+            workload: "gamess".into(),
+            ..JobSpec::default()
+        };
+        let report = report();
+        let record = Arc::new(cached_record(0xfeed, &spec.workload, Arc::clone(&report)));
+        for id in [7, 1_234_567_890_123] {
+            let live = Arc::new(Job::new(id, spec.clone(), 0xfeed));
+            live.set_state(JobState::Done(Arc::clone(&report)));
+            let fast = job_status_body(id, &Tracked::Finished(Arc::clone(&record)));
+            assert_eq!(fast, job_status_body(id, &Tracked::Live(live)));
+            assert_eq!(
+                fast,
+                render_status(
+                    id,
+                    "gamess",
+                    0xfeed,
+                    0,
+                    &JobState::Done(Arc::clone(&report))
+                )
+            );
+        }
     }
 }

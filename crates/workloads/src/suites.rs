@@ -27,6 +27,8 @@
 //!   refresh-free banks (paper: gobmk 1.29x single-core, GkNe 1.48x
 //!   dual-core).
 
+use std::sync::OnceLock;
+
 use crate::profile::{BenchmarkProfile, PhaseSpec, Suite};
 
 /// Compact phase constructor; `dur = 0` means "single phase, never
@@ -772,18 +774,30 @@ pub fn hpc_benchmarks() -> Vec<BenchmarkProfile> {
     ]
 }
 
-/// All 34 benchmarks, SPEC first then HPC (Table 1 order).
-pub fn all_benchmarks() -> Vec<BenchmarkProfile> {
-    let mut v = spec2006_benchmarks();
-    v.extend(hpc_benchmarks());
-    v
+/// The 34 benchmarks, SPEC first then HPC (Table 1 order), built on
+/// first use and never again.
+fn suite() -> &'static [BenchmarkProfile] {
+    static SUITE: OnceLock<Vec<BenchmarkProfile>> = OnceLock::new();
+    SUITE.get_or_init(|| {
+        let mut v = spec2006_benchmarks();
+        v.extend(hpc_benchmarks());
+        v
+    })
 }
 
-/// Look up a benchmark by full name or acronym.
+/// All 34 benchmarks, SPEC first then HPC (Table 1 order).
+pub fn all_benchmarks() -> Vec<BenchmarkProfile> {
+    suite().to_vec()
+}
+
+/// Look up a benchmark by full name or acronym. Reads the suite table
+/// built on the first call (it does not rebuild the 34 profiles) and
+/// returns a copy of the entry.
 pub fn benchmark_by_name(name: &str) -> Option<BenchmarkProfile> {
-    all_benchmarks()
-        .into_iter()
+    suite()
+        .iter()
         .find(|b| b.name.eq_ignore_ascii_case(name) || b.acronym.eq_ignore_ascii_case(name))
+        .cloned()
 }
 
 #[cfg(test)]
