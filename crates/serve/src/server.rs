@@ -12,8 +12,9 @@
 //! job while the daemon keeps serving.
 //!
 //! Every state transition is journaled; on restart, each job is looked
-//! up in the run cache: a hit is done, a miss is re-queued, a failed job
-//! stays failed (see [`crate::journal`]).
+//! up in the run cache: a hit is done, the first miss of a fingerprint is
+//! re-queued and the later ones wait for its run, a failed job stays
+//! failed (see [`crate::journal`]).
 
 use std::collections::HashMap;
 use std::net::SocketAddr;
@@ -277,6 +278,9 @@ pub struct Plane {
     next_id: AtomicU64,
     /// fingerprint -> primary job id, for every job not yet terminal.
     inflight: Mutex<HashMap<u64, u64>>,
+    /// fingerprint -> the recovered jobs waiting for its run (see
+    /// `recover_jobs`).
+    followers: Mutex<HashMap<u64, Vec<Follower>>>,
     queue: JobQueue,
     journal: Journal,
     counters: ServeCounters,
@@ -537,6 +541,7 @@ pub fn spawn_with(
         jobs: Mutex::new(JobTable::default()),
         next_id: AtomicU64::new(0),
         inflight: Mutex::new(HashMap::new()),
+        followers: Mutex::new(HashMap::new()),
         queue: JobQueue::new(opts.queue_capacity).with_aging(opts.aging_pops),
         journal,
         counters: ServeCounters::default(),
@@ -616,26 +621,44 @@ fn recover_jobs(state: &Plane, path: &std::path::Path) -> std::io::Result<()> {
     state.next_id.store(rec.max_id, Ordering::Relaxed);
     for r in rec.jobs {
         let job = Job::new(r.id, r.spec, r.fingerprint);
+        job.born_at_us
+            .store(state.metrics.now_us(), Ordering::Relaxed);
+        let fp = r.fingerprint;
+        let unfinished = r.outcome == RecoveredOutcome::Unfinished;
+        // Every job is looked up in the run cache at most once before it
+        // can run: at submit, or here; a worker runs what it pops. The
+        // first job of a fingerprint the cache does not hold re-runs
+        // (deterministic, so clients see the identical report), and the
+        // later ones wait for that run instead of each running again. An
+        // unfinished job whose report the cache holds is done here.
         match r.outcome {
             RecoveredOutcome::Failed(err) => {
                 let record = job.finished(JobState::Failed(err));
                 state.table().finish(r.id, record);
             }
-            // Every job is looked up in the run cache once before it can
-            // run: at submit, or here; a worker runs what it pops. A
-            // result the cache does not hold re-runs (deterministic, so
-            // the client sees the identical report); an unfinished job
-            // whose result it holds is done.
-            outcome => match runcache::lookup(r.fingerprint) {
-                Some(report) => {
-                    if outcome == RecoveredOutcome::Unfinished {
-                        state.journal.done(r.id);
-                    }
-                    let workload = &job.spec.workload;
-                    state
-                        .table()
-                        .finish_cached(r.id, r.fingerprint, workload, report);
-                }
+            _ if state
+                .inflight
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .contains_key(&fp) =>
+            {
+                let job = Arc::new(job);
+                job.set_state(JobState::Queued);
+                let follower = Follower {
+                    job: Arc::clone(&job),
+                    unfinished,
+                };
+                state
+                    .followers
+                    .lock()
+                    .unwrap_or_else(|e| e.into_inner())
+                    .entry(fp)
+                    .or_default()
+                    .push(follower);
+                state.table().insert_live(job);
+            }
+            _ => match runcache::lookup(fp) {
+                Some(report) => finish_recovered(state, &job, report, unfinished),
                 None => {
                     let job = Arc::new(job);
                     requeue_recovered(state, &job);
@@ -646,6 +669,66 @@ fn recover_jobs(state: &Plane, path: &std::path::Path) -> std::io::Result<()> {
         state.counters.recovered.fetch_add(1, Ordering::Relaxed);
     }
     Ok(())
+}
+
+/// A recovered job that waits for the run of its fingerprint.
+struct Follower {
+    job: Arc<Job>,
+    /// Whether its last life left it unfinished (not done).
+    unfinished: bool,
+}
+
+/// Finishes recovered `job` with `report`, which it did not run for. A
+/// job that was done before the restart only gets its record back; an
+/// unfinished one is done now, and counts as a cached job.
+fn finish_recovered(state: &Plane, job: &Job, report: Arc<SimReport>, unfinished: bool) {
+    if unfinished {
+        state.journal.done(job.id);
+        let born_at_us = job.born_at_us.load(Ordering::Relaxed);
+        finish_cached_job(
+            state,
+            job.id,
+            job.fingerprint,
+            &job.spec,
+            report,
+            born_at_us,
+            0,
+        );
+    } else {
+        let workload = &job.spec.workload;
+        state
+            .table()
+            .finish_cached(job.id, job.fingerprint, workload, report);
+    }
+}
+
+/// Finishes the recovered jobs that waited for a run of fingerprint `fp`
+/// with its `report`. When the run failed, the first of them runs
+/// instead and the others wait for it.
+fn release_followers(
+    state: &Plane,
+    fp: u64,
+    report: Option<Arc<SimReport>>,
+    followers: Vec<Follower>,
+) {
+    let Some(report) = report else {
+        let mut rest = followers.into_iter();
+        if let Some(next) = rest.next() {
+            state
+                .followers
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .entry(fp)
+                .or_default()
+                .extend(rest);
+            requeue_recovered(state, &next.job);
+        }
+        return;
+    };
+    for Follower { job, unfinished } in followers {
+        finish_recovered(state, &job, Arc::clone(&report), unfinished);
+        job.events.close();
+    }
 }
 
 fn requeue_recovered(state: &Plane, job: &Arc<Job>) {
@@ -783,14 +866,26 @@ fn execute(state: &Plane, job: &Arc<Job>, queue_wait_us: u64) {
     if outcome == Outcome::Failed {
         dump_flight_recorder(state);
     }
-    {
+    let report = match &terminal {
+        JobState::Done(report) => Some(Arc::clone(report)),
+        _ => None,
+    };
+    let followers = {
         // Under the inflight lock, so no submit coalesces onto the job
         // after its coalesced count is copied into the compact record.
         let mut inflight = state.inflight.lock().unwrap_or_else(|e| e.into_inner());
         inflight.remove(&fp);
         state.table().finish(job.id, job.finished(terminal));
-    }
+        state
+            .followers
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .remove(&fp)
+    };
     job.events.close();
+    if let Some(followers) = followers {
+        release_followers(state, fp, report, followers);
+    }
 }
 
 fn elapsed_us(t0: Instant) -> u64 {
@@ -882,25 +977,7 @@ fn submit(state: &Plane, spec: JobSpec, sweep: Option<u64>) -> Result<Submitted,
         let id = state.alloc_id();
         state.journal.cached(id, sweep, fp, &spec);
         state.counters.submitted.fetch_add(1, Ordering::Relaxed);
-        state.counters.cached.fetch_add(1, Ordering::Relaxed);
-        state.counters.completed.fetch_add(1, Ordering::Relaxed);
-        state.table().finish_cached(id, fp, &spec.workload, report);
-        let e2e_us = state.metrics.now_us().saturating_sub(born_at_us);
-        state
-            .metrics
-            .record_e2e(Outcome::Cached, &spec.client, e2e_us);
-        state.flight.record(JobTiming {
-            job: id,
-            client: spec.client.clone(),
-            workload: spec.workload,
-            outcome: Outcome::Cached,
-            fingerprint: fp,
-            queue_wait_us: 0,
-            cache_lookup_us,
-            run_us: 0,
-            serialize_us: 0,
-            e2e_us,
-        });
+        finish_cached_job(state, id, fp, &spec, report, born_at_us, cache_lookup_us);
         return Ok(Submitted::Cached(id));
     }
 
@@ -947,6 +1024,39 @@ fn submit(state: &Plane, spec: JobSpec, sweep: Option<u64>) -> Result<Submitted,
             Err(Reject::plain(503, "daemon is shutting down"))
         }
     }
+}
+
+/// Finishes job `id` of fingerprint `fp` with a report it did not run
+/// for: a run-cache hit, or the report of the run it waited for. It
+/// counts as completed and cached, with its latency and flight record.
+fn finish_cached_job(
+    state: &Plane,
+    id: u64,
+    fp: u64,
+    spec: &JobSpec,
+    report: Arc<SimReport>,
+    born_at_us: u64,
+    cache_lookup_us: u64,
+) {
+    state.counters.cached.fetch_add(1, Ordering::Relaxed);
+    state.counters.completed.fetch_add(1, Ordering::Relaxed);
+    state.table().finish_cached(id, fp, &spec.workload, report);
+    let e2e_us = state.metrics.now_us().saturating_sub(born_at_us);
+    state
+        .metrics
+        .record_e2e(Outcome::Cached, &spec.client, e2e_us);
+    state.flight.record(JobTiming {
+        job: id,
+        client: spec.client.clone(),
+        workload: spec.workload.clone(),
+        outcome: Outcome::Cached,
+        fingerprint: fp,
+        queue_wait_us: 0,
+        cache_lookup_us,
+        run_us: 0,
+        serialize_us: 0,
+        e2e_us,
+    });
 }
 
 fn json_err(status: u16, msg: &str) -> HandlerResult {
