@@ -9,23 +9,23 @@
 //! [`SetAssocCache::access`], with one deliberate difference: the
 //! lifetime [`crate::CacheStats`] counters are **deferred**. The caller
 //! applies them per consumed access ([`SetAssocCache::apply_rec_stats`]),
-//! so the counters stay exact even when a prefetched block is only
-//! partially consumed. The L2 keeps the scalar [`SetAssocCache::access`]
+//! so the counters stay exact even when a block generated ahead of the
+//! core is only partially consumed. The L2 keeps the scalar [`SetAssocCache::access`]
 //! path: it is the only cache with modules, banks, leader sets,
 //! retention clocks and reconfigured ways.
 
 use crate::cache::{full_mask, LeaderRule, SetAssocCache};
 use crate::lru;
-use crate::BlockAddr;
+use crate::{BlockAddr, CacheStats};
 
 /// Compact per-access outcome of [`SetAssocCache::access_batch_l1`]:
 /// everything the simulator's consume path needs from an L1 access, in
 /// one byte instead of the 32-byte [`crate::AccessOutcome`]. Bit 7 flags
 /// a miss, bit 6 flags a dirty eviction (whose block address travels in
 /// the kernel's side `writebacks` vector, in access order), bits 0..6
-/// hold the recency position of a hit. At the front end's buffer depths the
-/// byte-sized record is the difference between the prefetch block staying
-/// CPU-cache-resident and streaming through DRAM every refill.
+/// hold the recency position of a hit. At the front end's chunk size the
+/// byte-sized record is the difference between a chunk staying
+/// CPU-cache-resident and streaming through DRAM every fill.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct L1Rec(u8);
 
@@ -228,13 +228,24 @@ impl SetAssocCache {
     /// simulator's instruction-target break).
     #[inline]
     pub fn apply_rec_stats(&mut self, rec: L1Rec, write: bool) {
-        self.stats.writes += u64::from(write);
+        self.stats.apply_rec(rec, write);
+    }
+}
+
+impl CacheStats {
+    /// Folds one consumed [`L1Rec`] into these counters, as
+    /// [`SetAssocCache::apply_rec_stats`] does for the cache's own. A
+    /// consumer that keeps the stats apart from the cache (the simulator,
+    /// whose L1 may run on another thread) calls this directly.
+    #[inline]
+    pub fn apply_rec(&mut self, rec: L1Rec, write: bool) {
+        self.writes += u64::from(write);
         if rec.hit() {
-            self.stats.hits += 1;
-            self.stats.pos_hits[rec.hit_pos() as usize] += 1;
+            self.hits += 1;
+            self.pos_hits[rec.hit_pos() as usize] += 1;
         } else {
-            self.stats.misses += 1;
-            self.stats.writebacks += u64::from(rec.has_writeback());
+            self.misses += 1;
+            self.writebacks += u64::from(rec.has_writeback());
         }
     }
 }
@@ -242,7 +253,7 @@ impl SetAssocCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CacheGeometry, CacheStats};
+    use crate::CacheGeometry;
 
     /// Address stream with heavy set reuse so hits, misses, evictions and
     /// writebacks all occur.

@@ -20,7 +20,7 @@
 //! replayed through the kernel behind every L1 in the simulator,
 //! [`SetAssocCache::access_batch_l1`], on an independent plain cache
 //! (`L1Replica`). Accesses accumulate between comparison points and flush
-//! as one block (the way the simulator's front end refills), each
+//! as one block (the way the simulator's front end fills a tape chunk), each
 //! [`L1Rec`] is compared against the scalar path's outcome, and at every
 //! advance the replica's counters and occupancy must match too; a final
 //! sweep compares every line. An L1-kernel bug therefore minimizes to a

@@ -1,7 +1,9 @@
 //! Per-core execution state and cycle accounting.
 
-use esteem_cache::{L1Rec, SetAssocCache};
-use esteem_workloads::{AccessStream, BenchmarkProfile, Bundle, MemRef};
+use esteem_cache::{CacheStats, L1Rec};
+use esteem_workloads::{BenchmarkProfile, Bundle, MemRef};
+
+use crate::tape::Chunk;
 
 /// Fixed-point shift for per-core cycle accounting: cycles are tracked
 /// as `u64` in units of 2^-20 cycles (~1e-6 cycle resolution, headroom
@@ -14,7 +16,7 @@ pub const CYCLE_FP_SHIFT: u32 = 20;
 /// One cycle in fixed-point units.
 pub const CYCLE_FP_ONE: u64 = 1 << CYCLE_FP_SHIFT;
 
-/// One core: its workload stream, private L1D, and local clock.
+/// One core: its tape position, L1 lifetime stats, and local clock.
 ///
 /// The timing model (DESIGN.md §3 substitution 2): a bundle of `n`
 /// instructions costs `n * cpi_base` cycles of execution; if its memory
@@ -24,11 +26,21 @@ pub const CYCLE_FP_ONE: u64 = 1 << CYCLE_FP_SHIFT;
 /// window hiding short latencies and `mlp` the benchmark's memory-level
 /// parallelism. L1 hits are free (the 2-cycle pipelined L1 is part of
 /// `cpi_base`).
+///
+/// The core's workload stream and L1 live in its front end, which may
+/// run on another thread; the core consumes the front end's output one
+/// tape chunk at a time and folds each consumed L1 outcome into its own
+/// [`CacheStats`].
 #[derive(Debug, Clone)]
 pub struct CoreState {
     pub id: u32,
-    /// Workload stream + private L1D + prefetched access block.
-    front: FrontEnd,
+    /// The chunk being consumed, and the next unconsumed bundle and
+    /// write-back in it.
+    chunk: Chunk,
+    cursor: usize,
+    wb_cursor: usize,
+    /// L1D lifetime stats, applied per consumed bundle.
+    l1_stats: CacheStats,
     /// Local clock in fixed-point units of 2^-20 cycles
     /// (see [`CYCLE_FP_SHIFT`]).
     pub cycles_fp: u64,
@@ -49,107 +61,26 @@ pub struct CoreState {
     fp_per_stall_cycle: f64,
 }
 
-/// The core's front end: workload stream, private L1D, and a block of
-/// *prefetched* bundles already run through the L1 batch kernel.
-///
-/// The simulator consumes `(bundle, l1_rec)` pairs one at a time via
-/// [`CoreState::next_access`]; when the buffer runs low,
-/// [`FrontEnd::top_up`] generates the next block of bundles and pushes
-/// their memory references through
-/// [`SetAssocCache::access_batch_l1`] — the batched L1-shape form of
-/// [`SetAssocCache::access`] — in one call.
-/// Because the L1 has no retention clock and its lifetime stats are
-/// applied at *consume* time ([`SetAssocCache::apply_rec_stats`]),
-/// running the L1 ahead of the core's clock is unobservable — every
-/// externally visible number is identical to the one-access-at-a-time
-/// path (pinned by the golden-report and determinism tests).
-#[derive(Debug, Clone)]
-pub struct FrontEnd {
-    stream: AccessStream,
-    l1d: SetAssocCache,
-    /// Prefetched bundles in struct-of-arrays form, 13 bytes per bundle:
-    /// the packed `(block, write)` encoding the kernel consumes, the
-    /// instruction count, and the byte-sized L1 outcome. Keeping the
-    /// buffers this small is what keeps a refill pass CPU-cache-resident
-    /// next to the simulator's L2 model.
-    enc: Vec<u64>,
-    instrs: Vec<u32>,
-    recs: Vec<L1Rec>,
-    /// Dirty-eviction block addresses, in access order (rare, so they ride
-    /// in a side vector instead of widening every record).
-    wbs: Vec<u64>,
-    wb_cursor: usize,
-    /// Next unconsumed index.
-    cursor: usize,
-    /// Buffered-bundle level that triggers a refill at a quantum start
-    /// (sized to cover a typical quantum; an atypical one falls back to an
-    /// inline [`FrontEnd::top_up`] with identical content).
-    reserve: usize,
-    /// Buffer size to generate up to when topping up.
-    target: usize,
-}
-
-impl FrontEnd {
-    fn new(stream: AccessStream, l1d: SetAssocCache) -> Self {
-        assert!(
-            l1d.supports_l1_batch(),
-            "core L1s must qualify for the compact batch kernel"
-        );
-        Self {
-            stream,
-            l1d,
-            enc: Vec::new(),
-            instrs: Vec::new(),
-            recs: Vec::new(),
-            wbs: Vec::new(),
-            wb_cursor: 0,
-            cursor: 0,
-            reserve: 1,
-            target: 256,
-        }
-    }
-
-    #[inline]
-    fn buffered(&self) -> usize {
-        self.enc.len() - self.cursor
-    }
-
-    /// Refills the prefetch buffer to `target` bundles if fewer than
-    /// `reserve` remain: drains the consumed prefix, generates fresh
-    /// bundles, and runs their memory references through the L1 batch
-    /// kernel in one call.
-    pub fn top_up(&mut self) {
-        if self.buffered() >= self.reserve {
-            return;
-        }
-        if self.cursor > 0 {
-            self.enc.drain(..self.cursor);
-            self.instrs.drain(..self.cursor);
-            self.recs.drain(..self.cursor);
-            self.wbs.drain(..self.wb_cursor);
-            self.cursor = 0;
-            self.wb_cursor = 0;
-        }
-        let fresh = self.enc.len();
-        self.stream
-            .fill_encoded(&mut self.enc, &mut self.instrs, self.target);
-        self.l1d
-            .access_batch_l1(&self.enc[fresh..], &mut self.recs, &mut self.wbs);
-        debug_assert_eq!(self.enc.len(), self.recs.len());
-    }
+/// What [`CoreState::run_hits`] stopped at.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Step {
+    /// An L1 miss, for the simulator's miss path.
+    Miss(Bundle, L1Rec),
+    /// The chunk is spent: hand the core its next one, then call again.
+    Dry,
+    /// The quantum boundary, or a single-core run's target.
+    Done,
 }
 
 impl CoreState {
-    pub fn new(
-        id: u32,
-        profile: &BenchmarkProfile,
-        l1d: SetAssocCache,
-        target_instructions: u64,
-        seed: u64,
-    ) -> Self {
+    /// A core running `profile` whose private L1D has `l1_ways` ways.
+    pub fn new(id: u32, profile: &BenchmarkProfile, l1_ways: u8, target_instructions: u64) -> Self {
         Self {
             id,
-            front: FrontEnd::new(AccessStream::new(profile, id, seed), l1d),
+            chunk: Chunk::allocated(),
+            cursor: 0,
+            wb_cursor: 0,
+            l1_stats: CacheStats::new(l1_ways),
             cycles_fp: 0,
             instructions: 0,
             instrs_at_warmup: None,
@@ -193,57 +124,17 @@ impl CoreState {
         self.cycles_at_target.is_some()
     }
 
-    /// Pulls the next bundle *directly from the stream* (bypassing the
-    /// prefetch buffer) and charges its execution cycles; the memory
-    /// reference is returned for the caller to route through the
-    /// hierarchy. Call [`Self::stall`] with the resulting visible latency.
-    ///
-    /// Unit-test path: do not mix with [`Self::next_access`] — the
-    /// simulator drives cores exclusively through the batched front end.
-    #[inline]
-    pub fn fetch_bundle(&mut self) -> Bundle {
-        let b = self.front.stream.next_bundle();
-        self.cycles_fp += u64::from(b.instrs) * self.cpi_fp;
-        self.instructions += u64::from(b.instrs);
-        b
+    /// The spent chunk, for the feed to replace with the next one; the
+    /// cursors restart at its first bundle.
+    pub(crate) fn next_chunk_slot(&mut self) -> &mut Chunk {
+        self.cursor = 0;
+        self.wb_cursor = 0;
+        &mut self.chunk
     }
 
-    /// Pops the next prefetched `(bundle, L1 rec)` pair, charging the
-    /// bundle's execution cycles and folding the rec into the L1's
-    /// lifetime stats (stats are deferred to consume time so prefetching
-    /// ahead of the core's clock never shows up in any counter).
-    #[inline]
-    pub fn next_access(&mut self) -> (Bundle, L1Rec) {
-        let fe = &mut self.front;
-        if fe.cursor >= fe.enc.len() {
-            // The quantum outran the buffered reserve (or the caller
-            // skipped [`Self::configure_block`]): refill inline. The batch
-            // is pure core-local state, so the content is identical no
-            // matter where the refill happens.
-            fe.top_up();
-        }
-        let enc = fe.enc[fe.cursor];
-        let instrs = fe.instrs[fe.cursor];
-        let r = fe.recs[fe.cursor];
-        fe.cursor += 1;
-        let write = enc & 1 != 0;
-        fe.l1d.apply_rec_stats(r, write);
-        self.cycles_fp += u64::from(instrs) * self.cpi_fp;
-        self.instructions += u64::from(instrs);
-        (
-            Bundle {
-                instrs,
-                mem: MemRef {
-                    block: enc >> 1,
-                    write,
-                },
-            },
-            r,
-        )
-    }
-
-    /// Consumes prefetched bundles until the quantum boundary `qend_fp`,
-    /// a measurement-target break (single-core runs), or an L1 miss.
+    /// Consumes bundles until the quantum boundary `qend_fp`, a
+    /// measurement-target break (single-core runs), an L1 miss, or the
+    /// end of the chunk.
     ///
     /// L1 hits — the overwhelmingly common case — are folded entirely
     /// inside this loop: stats, cycle/instruction accounting, and the
@@ -251,30 +142,27 @@ impl CoreState {
     /// pays the cross-struct dispatch (`self.cores[i]`, L2 borrow) only
     /// on misses. A returned miss has had its execution cycles charged
     /// and stats applied, but *not* its [`Self::note_progress`] — the
-    /// caller performs the stall first, exactly like the one-at-a-time
-    /// path did.
+    /// caller performs the stall first.
     #[inline]
-    pub fn run_hits(&mut self, qend_fp: u64, single: bool) -> Option<(Bundle, L1Rec)> {
-        let fe = &mut self.front;
+    pub(crate) fn run_hits(&mut self, qend_fp: u64, single: bool) -> Step {
+        let chunk = &self.chunk;
         loop {
             if self.cycles_fp >= qend_fp || (single && self.cycles_at_target.is_some()) {
-                return None;
+                return Step::Done;
             }
-            if fe.cursor >= fe.enc.len() {
-                // Quantum outran the reserve: refill inline (same content
-                // regardless of where the refill happens).
-                fe.top_up();
+            if self.cursor >= chunk.enc.len() {
+                return Step::Dry;
             }
-            let enc = fe.enc[fe.cursor];
-            let instrs = fe.instrs[fe.cursor];
-            let r = fe.recs[fe.cursor];
-            fe.cursor += 1;
+            let enc = chunk.enc[self.cursor];
+            let instrs = chunk.instrs[self.cursor];
+            let r = chunk.recs[self.cursor];
+            self.cursor += 1;
             let write = enc & 1 != 0;
-            fe.l1d.apply_rec_stats(r, write);
+            self.l1_stats.apply_rec(r, write);
             self.cycles_fp += u64::from(instrs) * self.cpi_fp;
             self.instructions += u64::from(instrs);
             if !r.hit() {
-                return Some((
+                return Step::Miss(
                     Bundle {
                         instrs,
                         mem: MemRef {
@@ -283,10 +171,10 @@ impl CoreState {
                         },
                     },
                     r,
-                ));
+                );
             }
-            // `note_progress`, inlined so the front-end borrow can stay
-            // live across iterations.
+            // `note_progress`, inlined so the chunk borrow can stay live
+            // across iterations.
             if self.cycles_at_target.is_none() {
                 if let Some(w) = self.instrs_at_warmup {
                     if self.instructions >= w + self.target_instructions {
@@ -302,36 +190,15 @@ impl CoreState {
     /// [`L1Rec::has_writeback`] set (the simulator's miss path).
     #[inline]
     pub fn pop_writeback(&mut self) -> u64 {
-        let fe = &mut self.front;
-        let wb = fe.wbs[fe.wb_cursor];
-        fe.wb_cursor += 1;
+        let wb = self.chunk.wbs[self.wb_cursor];
+        self.wb_cursor += 1;
         wb
     }
 
-    /// Sizes the prefetch block: the refill trigger covers a typical
-    /// quantum's bundle consumption (capped so the buffers stay
-    /// CPU-cache-resident — an atypical quantum falls back to an inline
-    /// refill with identical content), and each top-up generates a few
-    /// thousand bundles to amortise the batch-kernel entry.
-    pub fn configure_block(&mut self, quantum_cycles: u64) {
-        let fe = &mut self.front;
-        // Upper bound on one quantum's bundle consumption (a bundle
-        // carries >= 1 instruction and stalls only lengthen a quantum).
-        let per_quantum = (quantum_cycles << CYCLE_FP_SHIFT) / self.cpi_fp + 2;
-        fe.reserve = (per_quantum as usize).min(1024);
-        fe.target = fe.reserve + 4096;
-    }
-
-    /// Refills the prefetch buffer in place (no-op while it still holds
-    /// the quantum reserve).
-    pub fn top_up_front(&mut self) {
-        self.front.top_up();
-    }
-
-    /// The core's private L1D.
+    /// The private L1D's lifetime stats, counted per consumed bundle.
     #[inline]
-    pub fn l1d(&self) -> &SetAssocCache {
-        &self.front.l1d
+    pub fn l1_stats(&self) -> &CacheStats {
+        &self.l1_stats
     }
 
     /// Charges a memory stall of `latency` raw cycles, applying the
@@ -364,48 +231,64 @@ impl CoreState {
         let w = self.cycles_at_warmup.expect("target implies warmed");
         self.target_instructions as f64 / ((c - w) as f64 / CYCLE_FP_ONE as f64)
     }
-
-    pub fn profile(&self) -> &BenchmarkProfile {
-        self.front.stream.profile()
-    }
 }
 
 impl esteem_stats::StatsSource for CoreState {
-    /// Registers retirement progress and L1D traffic; the private L1
-    /// nests as a sub-scope (`cores/<i>/l1/hits`).
+    /// Registers retirement progress and L1D traffic; the private L1's
+    /// counters nest as a sub-scope (`cores/<i>/l1/hits`).
     fn collect(&self, out: &mut esteem_stats::Scope<'_>) {
         out.counter("instructions", self.instructions);
         out.counter("cycles_fp", self.cycles_fp);
-        out.register("l1", self.l1d());
+        out.scope("l1", |l1| {
+            l1.counter("hits", self.l1_stats.hits);
+            l1.counter("misses", self.l1_stats.misses);
+            l1.counter("writebacks", self.l1_stats.writebacks);
+            l1.counter("writes", self.l1_stats.writes);
+        });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use esteem_cache::CacheGeometry;
-    use esteem_workloads::benchmark_by_name;
+    use crate::tape::FrontEnd;
+    use esteem_cache::{CacheGeometry, SetAssocCache};
+    use esteem_workloads::{benchmark_by_name, AccessStream};
 
-    fn l1() -> SetAssocCache {
-        let mut c = SetAssocCache::new(CacheGeometry::from_capacity(32 << 10, 4, 64, 1, 1), None);
-        // Mirror the simulator's L1 construction: no retention clocks, so
-        // the front end qualifies for the compact batch kernel.
-        c.set_retention_tracking(false);
-        c
+    /// A core and its front end, built as the simulator builds them.
+    fn core(name: &str, target: u64) -> (CoreState, FrontEnd) {
+        let p = benchmark_by_name(name).unwrap();
+        let mut l1 = SetAssocCache::new(CacheGeometry::from_capacity(32 << 10, 4, 64, 1, 1), None);
+        // No retention clocks, so the front end qualifies for the compact
+        // batch kernel.
+        l1.set_retention_tracking(false);
+        let fe = FrontEnd::new(AccessStream::new(&p, 0, 7), l1);
+        (CoreState::new(0, &p, 4, target), fe)
+    }
+
+    /// Consumes exactly one bundle (a quantum boundary one fixed-point
+    /// unit ahead stops the core after it), refilling inline.
+    fn fetch(c: &mut CoreState, fe: &mut FrontEnd) -> u64 {
+        let before = c.instructions;
+        let qend_fp = c.cycles_fp + 1;
+        while c.run_hits(qend_fp, false) == Step::Dry {
+            fe.fill(c.next_chunk_slot());
+        }
+        c.instructions - before
     }
 
     #[test]
     fn cycle_accounting() {
         let p = benchmark_by_name("gamess").unwrap();
-        let mut c = CoreState::new(0, &p, l1(), 1000, 7);
+        let (mut c, mut fe) = core("gamess", 1000);
         c.mark_warmup();
-        let b = c.fetch_bundle();
+        let instrs = fetch(&mut c, &mut fe) as f64;
         // Fixed-point quantises cpi_base to 2^-20 cycle units: exact to
         // ~1e-6 per instruction.
-        let tol = f64::from(b.instrs) / CYCLE_FP_ONE as f64;
-        assert!((c.cycles_f64() - f64::from(b.instrs) * p.cpi_base).abs() <= tol);
+        let tol = instrs / CYCLE_FP_ONE as f64;
+        assert!((c.cycles_f64() - instrs * p.cpi_base).abs() <= tol);
         c.stall(100.0, 8.0);
-        let expect = f64::from(b.instrs) * p.cpi_base + 92.0 / p.mlp;
+        let expect = instrs * p.cpi_base + 92.0 / p.mlp;
         assert!((c.cycles_f64() - expect).abs() <= tol + 1.0 / CYCLE_FP_ONE as f64);
         // Overlap swallows short latencies entirely.
         let before = c.cycles_fp;
@@ -415,31 +298,31 @@ mod tests {
 
     #[test]
     fn fixed_point_accumulation_is_exact_integer_math() {
-        let p = benchmark_by_name("gamess").unwrap();
-        let mut a = CoreState::new(0, &p, l1(), 1000, 7);
-        let mut b = CoreState::new(0, &p, l1(), 1000, 7);
+        let (mut a, mut fa) = core("gamess", 1000);
+        let (mut b, mut fb) = core("gamess", 1000);
         // Same bundles in the same order must give bit-identical clocks.
         for _ in 0..1000 {
-            a.fetch_bundle();
-            b.fetch_bundle();
+            fetch(&mut a, &mut fa);
+            fetch(&mut b, &mut fb);
         }
         assert_eq!(a.cycles_fp, b.cycles_fp);
+        assert_eq!(a.l1_stats(), b.l1_stats());
+        assert_eq!(a.l1_stats().accesses(), 1000);
         // Whole-cycle view is the floor of the fractional clock.
         assert_eq!(a.cycle(), (a.cycles_f64().floor()) as u64);
     }
 
     #[test]
     fn target_recording() {
-        let p = benchmark_by_name("povray").unwrap();
-        let mut c = CoreState::new(0, &p, l1(), 100, 7);
+        let (mut c, mut fe) = core("povray", 100);
         // Simulate a warm-up region of ~50 instructions.
         while c.instructions < 50 {
-            c.fetch_bundle();
+            fetch(&mut c, &mut fe);
         }
         c.mark_warmup();
         assert!(c.warmed());
         while !c.reached_target() {
-            c.fetch_bundle();
+            fetch(&mut c, &mut fe);
             c.note_progress();
         }
         assert!(c.instructions >= 150);
@@ -447,7 +330,7 @@ mod tests {
         assert!(ipc > 0.0 && ipc < 10.0, "ipc {ipc} out of sane range");
         // Running past the target must not change the recorded point.
         let at = c.cycles_at_target;
-        c.fetch_bundle();
+        fetch(&mut c, &mut fe);
         c.note_progress();
         assert_eq!(c.cycles_at_target, at);
     }

@@ -40,6 +40,7 @@ pub mod esteem;
 pub mod report;
 pub mod runner;
 pub mod system;
+mod tape;
 
 pub use config::{AlgoParams, SystemConfig, Technique};
 pub use controller::{

@@ -9,12 +9,13 @@ use esteem_stats::{
     TimeWeighted,
 };
 use esteem_trace::{prof_span, EventKind, TraceEvent, Tracer};
-use esteem_workloads::{BenchmarkProfile, Bundle};
+use esteem_workloads::{AccessStream, BenchmarkProfile, Bundle};
 
 use crate::config::SystemConfig;
 use crate::controller::{self, CacheController, IntervalCtx};
-use crate::core_model::{CoreState, CYCLE_FP_SHIFT};
+use crate::core_model::{CoreState, Step, CYCLE_FP_SHIFT};
 use crate::report::{CoreReport, SimReport};
+use crate::tape::{self, Feed, FrontEnd};
 
 /// Deterministic trace-driven multicore simulator.
 ///
@@ -45,10 +46,16 @@ use crate::report::{CoreReport, SimReport};
 /// it has one, otherwise one retention period — plus a final partial
 /// sample at the end of the run. Observers are read-only taps; attaching
 /// one cannot change simulation results.
+///
+/// **Front ends.** Each core's workload stream and private L1 (its front
+/// end) feed the core a tape of fixed-size chunks. [`Simulator::run`]
+/// fills them on a front-end thread of its own when a CPU is spare, and
+/// inline otherwise; the report is byte-identical either way.
 pub struct Simulator {
     cfg: SystemConfig,
     workload_label: String,
     cores: Vec<CoreState>,
+    fronts: Vec<FrontEnd>,
     l2: SetAssocCache,
     refresh: RefreshEngine,
     contention: BankContention,
@@ -109,20 +116,19 @@ impl Simulator {
             .with_params(2.0, cfg.bank_burst_lines);
         let mem = MainMemory::new(cfg.mem, cfg.retention.period_cycles);
         let controller = controller::for_technique(&cfg.technique);
-        let cores: Vec<CoreState> = profiles
+        let (cores, fronts) = profiles
             .iter()
             .enumerate()
             .map(|(i, p)| {
                 // The SRAM L1s have no retention clock to maintain.
                 let mut l1 = SetAssocCache::new(cfg.l1_geometry(), None);
                 l1.set_retention_tracking(false);
-                let mut c = CoreState::new(i as u32, p, l1, cfg.sim_instructions, cfg.seed);
-                // One front-end refill per quantum covers the whole
-                // quantum's bundle consumption.
-                c.configure_block(cfg.quantum_cycles);
-                c
+                (
+                    CoreState::new(i as u32, p, cfg.l1_geometry().ways, cfg.sim_instructions),
+                    FrontEnd::new(AccessStream::new(p, i as u32, cfg.seed), l1),
+                )
             })
-            .collect();
+            .unzip();
         let feed_refresh = refresh.needs_access_feed();
         let bank_counts = vec![0u64; cfg.l2_banks as usize];
         let next_window = cfg.retention.period_cycles;
@@ -133,6 +139,7 @@ impl Simulator {
             cfg,
             workload_label: label.to_owned(),
             cores,
+            fronts,
             l2,
             refresh,
             contention,
@@ -164,10 +171,10 @@ impl Simulator {
         Self::new(cfg, std::slice::from_ref(profile), &label)
     }
 
-    /// Accepted for source compatibility and ignored: a run refills its
-    /// front ends inline on the simulation thread (a run has at most two
-    /// cores, and a per-quantum hand-off to worker threads cost more than
-    /// the refill itself). Parallelism lives across runs instead.
+    /// A no-op, kept for source compatibility: the thread count of a run
+    /// is not an option. [`Simulator::run`] starts a front-end thread
+    /// when a CPU is spare and otherwise fills the front ends inline.
+    /// Due for deletion with its last caller, the benchmark's sweep.
     pub fn with_threads(self, _threads: usize) -> Self {
         self
     }
@@ -277,13 +284,11 @@ impl Simulator {
         self.cores[i].note_progress();
     }
 
-    /// Tops up every core's front end (workload generation + L1 batch
-    /// kernel) at a quantum start.
-    fn refill_fronts(&mut self) {
+    /// Hands core `i` its next tape chunk: waits for the front-end
+    /// thread's, or fills it inline.
+    fn next_chunk(&mut self, i: usize, feed: &mut Feed<'_>) {
         prof_span!(self.tracer, "block.refill");
-        for core in &mut self.cores {
-            core.top_up_front();
-        }
+        feed.next_chunk(i, self.cores[i].next_chunk_slot());
     }
 
     /// Whether interval samples need to be computed — for an attached
@@ -425,24 +430,56 @@ impl Simulator {
     }
 
     /// Runs to completion and produces the report.
-    pub fn run(mut self) -> SimReport {
+    ///
+    /// The calling thread holds a CPU claim for the run
+    /// ([`esteem_par::hold_cpu`]; a sweep or daemon worker already holds
+    /// one). If one more claim fits ([`esteem_par::claim_spare_cpu`]),
+    /// the front ends run on a thread of their own; otherwise they are
+    /// filled inline. With `ESTEEM_THREADS=1` a run never starts a thread.
+    pub fn run(self) -> SimReport {
+        self.run_claimed().0
+    }
+
+    /// [`Simulator::run`], also saying whether the front ends were piped.
+    pub(crate) fn run_claimed(self) -> (SimReport, bool) {
+        let _cpu = esteem_par::hold_cpu();
+        let spare = esteem_par::claim_spare_cpu();
+        let piped = spare.is_some();
+        (self.run_fed(piped), piped)
+    }
+
+    /// Runs to completion with the front ends piped through a thread of
+    /// their own, or filled inline.
+    pub(crate) fn run_fed(mut self, piped: bool) -> SimReport {
         prof_span!(self.tracer, "sim.run");
+        let mut fronts = std::mem::take(&mut self.fronts);
+        if piped {
+            tape::piped(&mut fronts, |pipe| self.simulate(&mut Feed::Piped(pipe)));
+        } else {
+            self.simulate(&mut Feed::Inline(&mut fronts));
+        }
+        self.finish()
+    }
+
+    /// The quantum loop, until every core has reached its target.
+    fn simulate(&mut self, feed: &mut Feed<'_>) {
         // In a single-core system the run ends exactly at the instruction
         // target (so technique-independent counters like miss counts are
         // computed over identical instruction streams); in multicore runs
         // early finishers keep executing, per the paper's methodology.
         let single = self.cores.len() == 1;
         while self.cores.iter().any(|c| !c.reached_target()) {
-            // Refill every front end up front: the reserve bounds one
-            // quantum's consumption, so cores rarely refill mid-quantum.
-            self.refill_fronts();
             let qend = self.clock + self.cfg.quantum_cycles;
             // Quantum boundary in fixed-point units: the inner loop is a
             // pure integer compare per instruction bundle.
             let qend_fp = qend << CYCLE_FP_SHIFT;
             for i in 0..self.cores.len() {
-                while let Some((bundle, l1)) = self.cores[i].run_hits(qend_fp, single) {
-                    self.miss_path(i, &bundle, l1);
+                loop {
+                    match self.cores[i].run_hits(qend_fp, single) {
+                        Step::Miss(bundle, l1) => self.miss_path(i, &bundle, l1),
+                        Step::Dry => self.next_chunk(i, feed),
+                        Step::Done => break,
+                    }
                 }
             }
             self.quantum_end(qend);
@@ -450,7 +487,6 @@ impl Simulator {
                 self.take_warmup_reading();
             }
         }
-        self.finish()
     }
 
     fn finish(mut self) -> SimReport {
@@ -499,8 +535,8 @@ impl Simulator {
                     as f64
                     / crate::core_model::CYCLE_FP_ONE as f64,
                 ipc: c.ipc(),
-                l1_hits: c.l1d().stats.hits,
-                l1_misses: c.l1d().stats.misses,
+                l1_hits: c.l1_stats().hits,
+                l1_misses: c.l1_stats().misses,
             })
             .collect();
         let intervals_logged = warm.counter("controller/intervals") as usize;
@@ -762,6 +798,120 @@ mod tests {
         let evs = tracer.drain();
         assert!(!evs.is_empty());
         assert!(evs.iter().all(|e| e.kind() == EventKind::Reconfig));
+    }
+
+    /// The techniques whose back ends differ most: passive, ESTEEM's
+    /// interval engine, and RPV's polyphase refresh.
+    fn three_techniques() -> [Technique; 3] {
+        [
+            Technique::Baseline,
+            Technique::Esteem(quick_algo()),
+            Technique::Rpv,
+        ]
+    }
+
+    /// Runs `build()` once with the front ends filled inline and once
+    /// piped through a front-end thread; the reports must serialize to
+    /// the same bytes.
+    fn assert_piped_matches_inline(what: &str, build: impl Fn() -> Simulator) -> SimReport {
+        let inline = build().run_fed(false);
+        let piped = build().run_fed(true);
+        assert_eq!(
+            serde_json::to_string(&inline).unwrap(),
+            serde_json::to_string(&piped).unwrap(),
+            "{what}: piped report differs from inline"
+        );
+        inline
+    }
+
+    #[test]
+    fn piped_front_ends_give_byte_identical_single_core_reports() {
+        let p = benchmark_by_name("gcc").unwrap();
+        for technique in three_techniques() {
+            // An odd target: the single-core break lands mid-chunk.
+            let cfg = quick(technique, 300_001);
+            let r = assert_piped_matches_inline("gcc", || Simulator::single(cfg.clone(), &p));
+            let bundles = r.per_core[0].l1_hits + r.per_core[0].l1_misses;
+            assert_ne!(bundles % tape::CHUNK_BUNDLES as u64, 0);
+        }
+    }
+
+    #[test]
+    fn piped_front_ends_give_byte_identical_reports_shorter_than_a_chunk() {
+        let p = benchmark_by_name("mcf").unwrap();
+        for technique in three_techniques() {
+            let mut cfg = quick(technique, 500);
+            cfg.warmup_cycles = 1000;
+            let r = assert_piped_matches_inline("short mcf", || Simulator::single(cfg.clone(), &p));
+            let bundles = r.per_core[0].l1_hits + r.per_core[0].l1_misses;
+            assert!(bundles < tape::CHUNK_BUNDLES as u64, "{bundles} bundles");
+        }
+    }
+
+    #[test]
+    fn piped_front_ends_give_byte_identical_dual_core_reports() {
+        // McLu: mcf crawls while lu races ahead, so one core consumes
+        // its tape far faster than the other.
+        let mix = esteem_workloads::mixes::mix_by_acronym("McLu").unwrap();
+        for technique in three_techniques() {
+            let mut cfg = SystemConfig::paper_dual_core(technique);
+            cfg.sim_instructions = 200_000;
+            cfg.warmup_cycles = 100_000;
+            let r = assert_piped_matches_inline("McLu", || {
+                Simulator::new(cfg.clone(), &[mix.a.clone(), mix.b.clone()], "McLu")
+            });
+            let [a, b] = [&r.per_core[0], &r.per_core[1]].map(|c| c.l1_hits + c.l1_misses);
+            assert!(a.max(b) > 2 * a.min(b), "tapes consumed: {a} and {b}");
+        }
+    }
+
+    #[test]
+    fn one_thread_budget_starts_no_front_end_thread() {
+        // `ESTEEM_THREADS` is process-wide. The other tests of this
+        // binary that read it only decide whether to pipe, which no
+        // report depends on, and no other test sets it.
+        let p = benchmark_by_name("gamess").unwrap();
+        let prior = std::env::var("ESTEEM_THREADS").ok();
+        std::env::set_var("ESTEEM_THREADS", "1");
+        let (report, piped) =
+            Simulator::single(quick(Technique::Baseline, 50_000), &p).run_claimed();
+        match prior {
+            Some(v) => std::env::set_var("ESTEEM_THREADS", v),
+            None => std::env::remove_var("ESTEEM_THREADS"),
+        }
+        assert!(!piped, "ESTEEM_THREADS=1 must keep the run on one thread");
+        assert_eq!(report.per_core[0].instructions, 50_000);
+    }
+
+    /// Panics on the observer's second interval, in the middle of a run.
+    struct PanicOnSecond(u32);
+
+    impl IntervalObserver for PanicOnSecond {
+        fn on_interval(&mut self, _: &IntervalSample) {
+            self.0 += 1;
+            assert!(self.0 < 2, "observer gave up");
+        }
+    }
+
+    #[test]
+    fn a_panicking_piped_run_unwinds_and_joins_its_front_end() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let p = benchmark_by_name("gamess").unwrap();
+            let sim = Simulator::single(quick(Technique::Baseline, 2_000_000), &p)
+                .with_observer(Box::new(PanicOnSecond(0)));
+            let caught =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run_fed(true)));
+            let _ = tx.send(caught.map_err(|e| esteem_par::panic_message(e.as_ref())));
+        });
+        // `catch_unwind` can only return once the run's thread scope has
+        // joined its front-end thread, so an answer in time means that
+        // thread has exited.
+        let result = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("the panicking run must unwind within 10 s");
+        let msg = result.expect_err("the observer's panic is the run's panic");
+        assert!(msg.contains("observer gave up"), "got: {msg}");
     }
 
     #[test]

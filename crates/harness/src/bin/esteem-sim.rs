@@ -27,8 +27,10 @@
 //!   --record <file.estr> <N>  record N bundles of the workload's stream
 //! ```
 //!
-//! One run is single-threaded. To run many simulations in parallel, use
-//! `esteem-repro --threads N` or the `esteem-serve` daemon.
+//! One run simulates on one thread, and fills its front ends (workload
+//! generation plus the private L1s) on a second one when a CPU is spare
+//! (`ESTEEM_THREADS=1` keeps it to one). To run many simulations in
+//! parallel, use `esteem-repro --threads N` or the `esteem-serve` daemon.
 
 use std::io::BufWriter;
 use std::process::ExitCode;

@@ -105,17 +105,22 @@ where
                 let cursor = &cursor;
                 let run_one = &run_one;
                 let slots_ptr = &slots_ptr;
-                scope.spawn(move || loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let r = run_one(i);
-                    // SAFETY: index `i` was claimed exactly once via the
-                    // atomic fetch_add, so no other thread writes slot `i`;
-                    // the scope guarantees `slots` outlives all workers.
-                    unsafe {
-                        *slots_ptr.0.add(i) = Some(r);
+                scope.spawn(move || {
+                    // The worker's CPU is taken until it runs out of jobs.
+                    let _cpu = crate::hold_cpu();
+                    loop {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break;
+                        }
+                        let r = run_one(i);
+                        // SAFETY: index `i` was claimed exactly once via the
+                        // atomic fetch_add, so no other thread writes slot
+                        // `i`; the scope guarantees `slots` outlives all
+                        // workers.
+                        unsafe {
+                            *slots_ptr.0.add(i) = Some(r);
+                        }
                     }
                 });
             }

@@ -750,6 +750,9 @@ fn requeue_recovered(state: &Plane, job: &Arc<Job>) {
 /// One resident worker: pops jobs in priority/fairness order and runs
 /// each to a terminal state, until the queue is closed and drained.
 fn worker_loop(state: &Plane, worker: usize) {
+    // A worker keeps its CPU for its lifetime, so a daemon with as many
+    // workers as CPUs leaves none spare for a run's front-end thread.
+    let _cpu = esteem_par::hold_cpu();
     while let Some(queued) = state.queue.pop_blocking() {
         let Some(job) = state.job(queued.job_id) else {
             continue;

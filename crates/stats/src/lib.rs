@@ -47,8 +47,8 @@ pub use registry::{
 /// A monotonically increasing event count.
 ///
 /// A thin newtype over `u64` rather than an atomic: the simulator is
-/// deterministic and single-threaded per run, and the wrapper exists to
-/// mark intent (monotone; delta-meaningful) at collection boundaries.
+/// deterministic and owns its counters on one thread per run, and the
+/// wrapper exists to mark intent (monotone; delta-meaningful) at collection boundaries.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Counter(u64);
 
