@@ -408,23 +408,11 @@ impl Simulator {
             slot_transitions: d.counter("reconfig/slot_transitions"),
             instructions,
         };
-        self.tracer
-            .emit(EventKind::Interval, || TraceEvent::Interval {
-                cycle: sample.cycle,
-                span_cycles: sample.span_cycles,
-                active_fraction: sample.active_fraction,
-                l2_hits: sample.l2_hits,
-                l2_misses: sample.l2_misses,
-                refreshes: sample.refreshes,
-                invalidations: sample.invalidations,
-                mem_reads: sample.mem_reads,
-                mem_writes: sample.mem_writes,
-                slot_transitions: sample.slot_transitions,
-                instructions: sample.instructions,
-            });
         if let Some(obs) = self.observer.as_mut() {
             obs.on_interval(&sample);
         }
+        self.tracer
+            .emit(EventKind::Interval, || TraceEvent::Interval(sample));
         self.last_obs = current;
         self.last_obs_cycle = now;
     }

@@ -1,6 +1,5 @@
 //! Single-simulation CLI: run one workload under one technique and print
-//! the full report. Also records synthetic access streams to `.estr`
-//! trace files (see `esteem_workloads::trace`).
+//! the full report.
 //!
 //! ```text
 //! esteem-sim [options] <benchmark | mix-acronym>
@@ -24,7 +23,6 @@
 //!                             runcache,interval,span (default all)
 //!   --trace-buffer <N>        ring-buffer capacity in events (default 1M;
 //!                             oldest events drop beyond it)
-//!   --record <file.estr> <N>  record N bundles of the workload's stream
 //! ```
 //!
 //! One run simulates on one thread, and fills its front ends (workload
@@ -39,7 +37,7 @@ use esteem_core::{AlgoParams, Simulator, SystemConfig, Technique};
 use esteem_edram::RetentionSpec;
 use esteem_stats::JsonlSink;
 use esteem_trace::{export, TraceFilter, Tracer};
-use esteem_workloads::{benchmark_by_name, mixes::mix_by_acronym, trace, AccessStream};
+use esteem_workloads::{benchmark_by_name, mixes::mix_by_acronym};
 
 #[derive(Debug)]
 struct Args {
@@ -62,7 +60,6 @@ struct Args {
     trace: Option<String>,
     trace_filter: TraceFilter,
     trace_buffer: usize,
-    record: Option<(String, u64)>,
 }
 
 impl Default for Args {
@@ -87,7 +84,6 @@ impl Default for Args {
             trace: None,
             trace_filter: TraceFilter::all(),
             trace_buffer: 1 << 20,
-            record: None,
         }
     }
 }
@@ -175,13 +171,6 @@ fn parse() -> Result<Args, String> {
                     return Err("--trace-buffer must be positive".into());
                 }
             }
-            "--record" => {
-                let path = next(&mut it, "--record")?;
-                let n: u64 = next(&mut it, "--record")?
-                    .parse()
-                    .map_err(|e| format!("{e}"))?;
-                a.record = Some((path, n));
-            }
             "-h" | "--help" => return Err(HELP.into()),
             other if other.starts_with('-') => return Err(format!("unknown flag {other}\n{HELP}")),
             other => a.workload = other.to_owned(),
@@ -203,26 +192,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-
-    // Trace recording mode.
-    if let Some((path, n)) = &args.record {
-        let Some(profile) = benchmark_by_name(&args.workload) else {
-            eprintln!("--record needs a single benchmark, not a mix");
-            return ExitCode::FAILURE;
-        };
-        let mut stream = AccessStream::new(&profile, 0, args.seed);
-        let img = trace::record_stream(&mut stream, *n);
-        if let Err(e) = std::fs::write(path, &img) {
-            eprintln!("writing {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!(
-            "recorded {n} bundles of {} to {path} ({} bytes)",
-            profile.name,
-            img.len()
-        );
-        return ExitCode::SUCCESS;
-    }
 
     // Resolve workload: single benchmark or dual mix.
     let (profiles, label, cores) = if let Some(b) = benchmark_by_name(&args.workload) {

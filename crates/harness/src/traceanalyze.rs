@@ -183,40 +183,13 @@ fn mean_std(xs: &[f64]) -> (f64, f64) {
     (mean, var.sqrt())
 }
 
-/// Rebuilds interval samples from `Interval` trace events, for analyses
-/// that were run without a separate `--interval-log` file. Fields the
-/// trace does not carry (`ways`, `l2_writebacks`) are left empty.
+/// The interval samples of `Interval` trace events, for analyses that
+/// were run without a separate `--interval-log` file.
 pub fn intervals_from_events(events: &[TraceEvent]) -> Vec<IntervalSample> {
     events
         .iter()
-        .filter_map(|ev| match *ev {
-            TraceEvent::Interval {
-                cycle,
-                span_cycles,
-                active_fraction,
-                l2_hits,
-                l2_misses,
-                refreshes,
-                invalidations,
-                mem_reads,
-                mem_writes,
-                slot_transitions,
-                instructions,
-            } => Some(IntervalSample {
-                cycle,
-                span_cycles,
-                ways: Vec::new(),
-                active_fraction,
-                l2_hits,
-                l2_misses,
-                l2_writebacks: 0,
-                refreshes,
-                invalidations,
-                mem_reads,
-                mem_writes,
-                slot_transitions,
-                instructions,
-            }),
+        .filter_map(|ev| match ev {
+            TraceEvent::Interval(sample) => Some(sample.clone()),
             _ => None,
         })
         .collect()
@@ -875,19 +848,21 @@ mod tests {
                 dur_us: 100.0,
             },
         ];
-        events.push(TraceEvent::Interval {
+        events.push(TraceEvent::Interval(IntervalSample {
             cycle: 10_000_000,
             span_cycles: 10_000_000,
+            ways: vec![8, 8],
             active_fraction: 0.5,
             l2_hits: 100,
             l2_misses: 10,
+            l2_writebacks: 3,
             refreshes: 500,
             invalidations: 2,
             mem_reads: 10,
             mem_writes: 5,
             slot_transitions: 16,
             instructions: 9_000_000,
-        });
+        }));
         let intervals = intervals_from_events(&events);
         assert_eq!(intervals.len(), 1);
         assert_eq!(intervals[0].refreshes, 500);

@@ -9,9 +9,9 @@
 //!   --queue-capacity <n>    bound before 429 shed (default 64)
 //!   --journal <file>        append-only job journal; enables crash
 //!                           recovery on restart
-//!   --flight-dump <file>    write a flight-recorder dump (recent job
-//!                           stage timings + trace ring) whenever a
-//!                           job panics
+//!   --flight-dump <file>    write the flight recorder's recent job
+//!                           timing records, as {"jobs": [...]},
+//!                           whenever a job fails
 //!   --flight-jobs <n>       flight-recorder depth (default 256)
 //!   --compact-journal       rewrite --journal keeping only terminal
 //!                           job records, print stats, and exit (the

@@ -442,9 +442,6 @@ pub struct Job {
     pub events: Arc<JobEvents>,
     /// How many later submissions coalesced onto this execution.
     pub coalesced: std::sync::atomic::AtomicU64,
-    /// Enqueue timestamp (`Tracer::elapsed_us` bits) for the queue-wait
-    /// span; 0 until the job is queued.
-    pub queued_at_us: std::sync::atomic::AtomicU64,
     /// Submit timestamp on the daemon's `ServeMetrics` clock
     /// (microseconds since daemon start), the origin for the
     /// end-to-end stage latency; 0 until the job is accepted.
@@ -463,7 +460,6 @@ impl Job {
             state: Mutex::new(JobState::Queued),
             events: Arc::new(JobEvents::default()),
             coalesced: std::sync::atomic::AtomicU64::new(0),
-            queued_at_us: std::sync::atomic::AtomicU64::new(0),
             born_at_us: std::sync::atomic::AtomicU64::new(0),
             cache_lookup_us: std::sync::atomic::AtomicU64::new(0),
         }

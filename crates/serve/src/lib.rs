@@ -23,10 +23,11 @@
 //!   worker on the `esteem-coord` coordinator.
 //! * [`cluster`] — the [`ClusterHook`] through which a cluster role
 //!   adds routes, status and metrics, and a worker's membership agent.
-//! * [`observe`] — stage-latency histograms (submit, queue wait, cache
-//!   lookup, run, serialize, end-to-end by outcome and client), worker
-//!   utilization, and the bounded flight recorder behind `/v1/flight-recorder` and the
-//!   panic crash dump.
+//! * [`observe`] — one timing record per job, which feeds the
+//!   stage-latency histograms (submit, queue wait, cache lookup, run,
+//!   serialize, end-to-end by outcome), worker utilization, and the
+//!   bounded flight recorder behind `/v1/flight-recorder` and the panic
+//!   crash dump.
 //! * [`client`] — a minimal blocking HTTP client used by
 //!   `esteem-client`, `esteem-top`, and the end-to-end tests; its
 //!   [`RetryPolicy`] honors server `Retry-After` hints on 429.
@@ -42,7 +43,7 @@
 //! |                           | stage-latency histogram buckets        |
 //! | `GET /v1/status`          | JSON snapshot for `esteem-top`: queue, |
 //! |                           | workers, stage percentiles, hit rate   |
-//! | `GET /v1/flight-recorder` | recent per-job stage timings + trace   |
+//! | `GET /v1/flight-recorder` | recent per-job stage timings           |
 //! | `GET /v1/health`          | liveness probe                         |
 //! | `POST /v1/shutdown`       | graceful drain and exit                |
 
@@ -59,7 +60,7 @@ pub use client::RetryPolicy;
 pub use cluster::{ClusterAgent, ClusterConfig, ClusterHook};
 pub use job::{Job, JobSpec, JobState};
 pub use journal::{Journal, Recovery};
-pub use observe::{FlightRecorder, JobTiming, Outcome, ServeMetrics};
+pub use observe::{JobTiming, Outcome, ServeMetrics};
 pub use queue::{JobQueue, PushError, QueuedJob};
 pub use server::{
     spawn, spawn_with, Daemon, LocalRunner, Plane, RunOutcome, Runner, ServerOptions,

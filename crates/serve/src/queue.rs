@@ -37,8 +37,6 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::{Condvar, Mutex};
 
 /// Cap on remembered per-client "last served" stamps; see module docs.
-/// Mirrors `MAX_CLIENT_LABELS` in `observe.rs`, scaled up because a
-/// stamp is 8 bytes, not a histogram.
 pub const MAX_SERVED_CLIENTS: usize = 1024;
 
 /// One queued entry (the job body lives in the server's job table).

@@ -22,23 +22,20 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use esteem_core::{SimReport, Simulator};
 use esteem_harness::runcache;
 use esteem_stats::{
     labeled, HistogramSnapshot, IntervalObserver, IntervalSample, Scope, StatsReading, StatsSource,
 };
-use esteem_trace::{EventKind, TraceEvent, TraceFilter, Tracer};
 use serde::{Serialize, Value};
 
 use crate::cluster::{ClusterAgent, ClusterConfig, ClusterHook};
 use crate::http::{Handler, HandlerResult, HttpCounters, HttpServer};
 use crate::job::{EventStream, FinishedJob, Job, JobSpec, JobState};
 use crate::journal::{recover, Journal, RecoveredOutcome};
-use crate::observe::{
-    flight_dump_value, FlightRecorder, JobTiming, Outcome, ServeMetrics, WorkerStats,
-};
+use crate::observe::{JobTiming, Outcome, ServeMetrics};
 use crate::queue::{JobQueue, PushError, QueuedJob};
 
 /// Crate version, exported as a `build_info` label and in `/v1/status`.
@@ -68,8 +65,6 @@ pub struct ServerOptions {
     pub start_paused: bool,
     /// How long shutdown waits for open connections to finish.
     pub drain_timeout: Duration,
-    /// Ring-buffer tracer capacity; 0 disables tracing.
-    pub trace_events: usize,
     /// Flight-recorder depth: how many recent per-job stage timing
     /// records `GET /v1/flight-recorder` can return.
     pub flight_recorder_jobs: usize,
@@ -93,7 +88,6 @@ impl Default for ServerOptions {
             journal_path: None,
             start_paused: false,
             drain_timeout: Duration::from_secs(10),
-            trace_events: 1 << 16,
             flight_recorder_jobs: 256,
             flight_dump: None,
             cluster: None,
@@ -284,18 +278,13 @@ pub struct Plane {
     queue: JobQueue,
     journal: Journal,
     counters: ServeCounters,
-    tracer: Tracer,
     /// Signaled by `POST /v1/shutdown`.
     shutdown: (Mutex<bool>, Condvar),
     /// Filled in once the HTTP server is bound (the server owns them).
     http_counters: Mutex<Option<Arc<HttpCounters>>>,
-    /// Job execution time and per-worker utilization, recorded by the
-    /// workers and read by `/metrics` and `/v1/status`.
-    workers: WorkerStats,
-    /// Stage-latency histograms + uptime clock.
+    /// Job timing: stage histograms, worker utilization, the flight
+    /// recorder, and the clock they share.
     metrics: ServeMetrics,
-    /// Recent per-job stage timings for `/v1/flight-recorder`.
-    flight: FlightRecorder,
     /// Crash-dump target when a job panics.
     flight_dump: Option<PathBuf>,
     /// Where a job's report comes from.
@@ -466,22 +455,12 @@ impl Daemon {
         &self.state.counters
     }
 
-    /// Drains the daemon's tracer ring (queue-wait/cache/run spans and
-    /// run-cache hit/miss events).
-    pub fn trace_events(&self) -> Vec<TraceEvent> {
-        self.state.tracer.drain()
-    }
-
-    /// The daemon's stage-latency histograms. Recording methods are
-    /// public, which doubles as the injection point for latency tests:
-    /// record known values, then read them back via `/v1/status`.
+    /// The daemon's job timing: stage histograms, utilization and the
+    /// flight recorder. Recording methods are public, which doubles as
+    /// the injection point for latency tests: record known values, then
+    /// read them back via `/v1/status`.
     pub fn serve_metrics(&self) -> &ServeMetrics {
         &self.state.metrics
-    }
-
-    /// Recent per-job stage timings (the `/v1/flight-recorder` view).
-    pub fn flight_recorder(&self) -> &FlightRecorder {
-        &self.state.flight
     }
 
     /// Blocks until shutdown is requested, then drains: the queue
@@ -528,11 +507,6 @@ pub fn spawn_with(
     runner: Arc<dyn Runner>,
     hook: Option<Arc<dyn ClusterHook>>,
 ) -> std::io::Result<Daemon> {
-    let tracer = if opts.trace_events > 0 {
-        Tracer::ring(opts.trace_events, TraceFilter::all())
-    } else {
-        Tracer::off()
-    };
     let journal = match &opts.journal_path {
         Some(p) => Journal::open(p)?,
         None => Journal::none(),
@@ -545,12 +519,9 @@ pub fn spawn_with(
         queue: JobQueue::new(opts.queue_capacity).with_aging(opts.aging_pops),
         journal,
         counters: ServeCounters::default(),
-        tracer,
         shutdown: (Mutex::new(false), Condvar::new()),
         http_counters: Mutex::new(None),
-        workers: WorkerStats::new(opts.workers.max(1)),
-        metrics: ServeMetrics::new(),
-        flight: FlightRecorder::new(opts.flight_recorder_jobs),
+        metrics: ServeMetrics::new(opts.workers.max(1), opts.flight_recorder_jobs),
         flight_dump: opts.flight_dump.clone(),
         runner,
         cluster: OnceLock::new(),
@@ -564,7 +535,7 @@ pub fn spawn_with(
         recover_jobs(&state, path)?;
     }
 
-    let workers = (0..state.workers.workers())
+    let workers = (0..state.metrics.workers())
         .map(|i| {
             let state = Arc::clone(&state);
             std::thread::Builder::new()
@@ -762,65 +733,29 @@ fn worker_loop(state: &Plane, worker: usize) {
         drop(state.inflight.lock().unwrap_or_else(|e| e.into_inner()));
         state.journal.start(job.id);
         job.set_state(JobState::Running);
-        let queue_wait_us = state
-            .metrics
-            .now_us()
-            .saturating_sub(job.born_at_us.load(Ordering::Relaxed));
-        state.metrics.queue_wait_us.record(queue_wait_us);
-        emit_queue_wait(state, &job);
-        state
-            .workers
-            .run(worker, || execute(state, &job, queue_wait_us));
+        let queue_wait_us = state.metrics.since(job.born_at_us.load(Ordering::Relaxed));
+        execute(state, &job, worker, queue_wait_us);
     }
 }
 
-/// Records the queue-wait span for a job that just left the queue.
-fn emit_queue_wait(state: &Plane, job: &Arc<Job>) {
-    let t = &state.tracer;
-    if !t.enabled(EventKind::Span) {
-        return;
-    }
-    let end_us = t.elapsed_us();
-    let start_us = f64::from_bits(job.queued_at_us.load(Ordering::Relaxed));
-    t.emit(EventKind::Span, || TraceEvent::Span {
-        name: format!("job{}.queue_wait", job.id),
-        start_us,
-        dur_us: (end_us - start_us).max(0.0),
-    });
-}
-
-/// Records a span named `name` from `t0` to now.
-fn emit_span_since(t: &Tracer, name: &str, t0: Instant) {
-    t.emit(EventKind::Span, || {
-        let dur_us = t0.elapsed().as_secs_f64() * 1e6;
-        TraceEvent::Span {
-            name: name.to_owned(),
-            start_us: (t.elapsed_us() - dur_us).max(0.0),
-            dur_us,
-        }
-    });
-}
-
-/// Runs one job on its worker thread with panic isolation, timing each
-/// pipeline stage for the histograms and the flight recorder.
-fn execute(state: &Plane, job: &Arc<Job>, queue_wait_us: u64) {
+/// Runs one job on worker `worker` with panic isolation, timing its run
+/// and serialize stages into its one [`JobTiming`].
+fn execute(state: &Plane, job: &Arc<Job>, worker: usize, queue_wait_us: u64) {
     let fp = job.fingerprint;
-    // Stage durations land here from inside the panic-isolated closure;
-    // on a panic whatever stages completed keep their timings.
-    let run_us = AtomicU64::new(0);
-    let serialize_us = AtomicU64::new(0);
+    let m = &state.metrics;
+    // Set inside the panic-isolated closure; a panic leaves them 0.
+    let (mut run_us, mut serialize_us) = (0, 0);
     let result = catch_unwind(AssertUnwindSafe(|| {
-        let _span = state.tracer.span("job.run");
-        let t0 = Instant::now();
+        let t0 = m.now_us();
         let report = match state.runner.run(state, job) {
             RunOutcome::Done(report) => report,
             RunOutcome::Failed(msg) => return Err(msg),
             RunOutcome::Abandoned => return Ok(None),
         };
-        run_us.store(elapsed_us(t0), Ordering::Relaxed);
-        let t0 = Instant::now();
+        run_us = m.since(t0);
+        let t0 = m.now_us();
         runcache::insert(fp, Arc::clone(&report));
-        serialize_us.store(elapsed_us(t0), Ordering::Relaxed);
+        serialize_us = m.since(t0);
         Ok(Some(report))
     }));
     let result = result.unwrap_or_else(|payload| Err(esteem_par::panic_message(payload.as_ref())));
@@ -842,29 +777,18 @@ fn execute(state: &Plane, job: &Arc<Job>, queue_wait_us: u64) {
             return;
         }
     };
-    let cache_lookup_us = job.cache_lookup_us.load(Ordering::Relaxed);
-    let run_us = run_us.load(Ordering::Relaxed);
-    let serialize_us = serialize_us.load(Ordering::Relaxed);
-    if run_us > 0 {
-        state.metrics.run_us.record(run_us);
-        state.metrics.serialize_us.record(serialize_us);
-    }
-    let e2e_us = state
-        .metrics
-        .now_us()
-        .saturating_sub(job.born_at_us.load(Ordering::Relaxed));
-    state.metrics.record_e2e(outcome, &job.spec.client, e2e_us);
-    state.flight.record(JobTiming {
+    m.record(JobTiming {
         job: job.id,
         client: job.spec.client.clone(),
         workload: job.spec.workload.clone(),
         outcome,
         fingerprint: fp,
+        worker: Some(worker),
         queue_wait_us,
-        cache_lookup_us,
+        cache_lookup_us: job.cache_lookup_us.load(Ordering::Relaxed),
         run_us,
         serialize_us,
-        e2e_us,
+        e2e_us: m.since(job.born_at_us.load(Ordering::Relaxed)),
     });
     if outcome == Outcome::Failed {
         dump_flight_recorder(state);
@@ -891,12 +815,8 @@ fn execute(state: &Plane, job: &Arc<Job>, queue_wait_us: u64) {
     }
 }
 
-fn elapsed_us(t0: Instant) -> u64 {
-    t0.elapsed().as_micros().min(u64::MAX as u128) as u64
-}
-
-/// Best-effort crash dump: recent job timings + the tracer ring, as the
-/// `/v1/flight-recorder` body, written to the configured path.
+/// Best-effort crash dump: the `/v1/flight-recorder` body, written to
+/// the configured path.
 fn dump_flight_recorder(state: &Plane) {
     let Some(path) = &state.flight_dump else {
         return;
@@ -971,10 +891,9 @@ fn submit(state: &Plane, spec: JobSpec, sweep: Option<u64>) -> Result<Submitted,
 
     // The job's one run-cache lookup (see `recover_jobs`). A hit is born
     // done.
-    let lookup_t0 = Instant::now();
+    let lookup_t0 = state.metrics.now_us();
     let hit = runcache::lookup(fp);
-    let cache_lookup_us = elapsed_us(lookup_t0);
-    state.metrics.cache_lookup_us.record(cache_lookup_us);
+    let cache_lookup_us = state.metrics.since(lookup_t0);
     if let Some(report) = hit {
         drop(inflight);
         let id = state.alloc_id();
@@ -984,11 +903,8 @@ fn submit(state: &Plane, spec: JobSpec, sweep: Option<u64>) -> Result<Submitted,
         return Ok(Submitted::Cached(id));
     }
 
-    emit_span_since(&state.tracer, "job.cache_lookup", lookup_t0);
     let id = state.alloc_id();
     let job = Arc::new(Job::new(id, spec.clone(), fp));
-    job.queued_at_us
-        .store(state.tracer.elapsed_us().to_bits(), Ordering::Relaxed);
     job.born_at_us.store(born_at_us, Ordering::Relaxed);
     job.cache_lookup_us
         .store(cache_lookup_us, Ordering::Relaxed);
@@ -1031,7 +947,7 @@ fn submit(state: &Plane, spec: JobSpec, sweep: Option<u64>) -> Result<Submitted,
 
 /// Finishes job `id` of fingerprint `fp` with a report it did not run
 /// for: a run-cache hit, or the report of the run it waited for. It
-/// counts as completed and cached, with its latency and flight record.
+/// counts as completed and cached, with its timing record.
 fn finish_cached_job(
     state: &Plane,
     id: u64,
@@ -1044,21 +960,18 @@ fn finish_cached_job(
     state.counters.cached.fetch_add(1, Ordering::Relaxed);
     state.counters.completed.fetch_add(1, Ordering::Relaxed);
     state.table().finish_cached(id, fp, &spec.workload, report);
-    let e2e_us = state.metrics.now_us().saturating_sub(born_at_us);
-    state
-        .metrics
-        .record_e2e(Outcome::Cached, &spec.client, e2e_us);
-    state.flight.record(JobTiming {
+    state.metrics.record(JobTiming {
         job: id,
         client: spec.client.clone(),
         workload: spec.workload.clone(),
         outcome: Outcome::Cached,
         fingerprint: fp,
+        worker: None,
         queue_wait_us: 0,
         cache_lookup_us,
         run_us: 0,
         serialize_us: 0,
-        e2e_us,
+        e2e_us: state.metrics.since(born_at_us),
     });
 }
 
@@ -1167,7 +1080,7 @@ fn metrics_body(state: &Plane) -> String {
     let mut r = StatsReading::new();
     r.register("serve", &state.counters);
     r.register("serve", &state.metrics);
-    r.register("pool", &state.workers);
+    r.scope("pool", |s| state.metrics.collect_pool(s));
     r.scope("serve", |s| {
         s.gauge("queue_depth", state.queue.len() as f64);
         s.gauge("jobs_tracked", state.table().len() as f64);
@@ -1287,18 +1200,16 @@ fn status_body(state: &Plane) -> String {
             }),
         ),
     ]);
-    let w = &state.workers;
-    let per_worker: Vec<Value> = (0..w.workers())
-        .map(|i| Value::F64(w.worker_utilization(i)))
+    let m = &state.metrics;
+    let per_worker: Vec<Value> = (0..m.workers())
+        .map(|i| Value::F64(m.worker_utilization(i)))
         .collect();
     let workers = Value::Map(vec![
         ("count".into(), (per_worker.len() as u64).to_value()),
-        ("active".into(), w.active().to_value()),
-        ("utilization".into(), Value::F64(w.mean_utilization())),
+        ("active".into(), by_state[1].to_value()),
+        ("utilization".into(), Value::F64(m.mean_utilization())),
         ("per_worker".into(), Value::Seq(per_worker)),
-        ("task_us".into(), stage_value(&w.task_us())),
     ]);
-    let m = &state.metrics;
     let stages = Value::Map(vec![
         ("submit_us".into(), stage_value(&m.submit_us.snapshot())),
         (
@@ -1343,7 +1254,7 @@ fn status_body(state: &Plane) -> String {
         ("e2e_us".into(), e2e),
         (
             "flight_recorder_jobs".into(),
-            (state.flight.len() as u64).to_value(),
+            (m.flight_len() as u64).to_value(),
         ),
     ]);
     if let (Some(hook), Value::Map(m)) = (state.cluster.get(), &mut body) {
@@ -1352,11 +1263,9 @@ fn status_body(state: &Plane) -> String {
     serde_json::to_string(&body).expect("serializes")
 }
 
-/// `GET /v1/flight-recorder` (and the crash dump): recent job timings
-/// plus the tracer's buffered events, non-destructively.
+/// `GET /v1/flight-recorder` (and the crash dump): recent job timings.
 fn flight_recorder_body(state: &Plane) -> String {
-    let v = flight_dump_value(&state.flight.snapshot(), &state.tracer.snapshot());
-    serde_json::to_string(&v).expect("serializes")
+    serde_json::to_string(&state.metrics.flight_dump()).expect("serializes")
 }
 
 fn make_handler(state: Arc<Plane>) -> Handler {
@@ -1372,9 +1281,12 @@ fn make_handler(state: Arc<Plane>) -> Handler {
                     Ok(s) => s,
                     Err(e) => return json_err(400, &format!("bad job spec: {e}")),
                 };
-                let submit_t0 = Instant::now();
+                let submit_t0 = state.metrics.now_us();
                 let outcome = submit(&state, spec, None);
-                state.metrics.submit_us.record(elapsed_us(submit_t0));
+                state
+                    .metrics
+                    .submit_us
+                    .record(state.metrics.since(submit_t0));
                 match outcome {
                     Ok(outcome) => {
                         let (id, coalesced, cached) = match outcome {

@@ -285,33 +285,64 @@ fn metrics_exposes_serve_runcache_and_http_counters() {
     daemon.wait();
 }
 
+/// Every view of a job's timing comes from its one record: each stage
+/// histogram holds exactly the records' values, and the worker that ran
+/// a job shows busy time.
 #[test]
-fn trace_spans_cover_queue_wait_cache_and_run() {
-    use esteem_trace::TraceEvent;
+fn one_timing_record_feeds_every_view() {
+    use esteem_serve::{JobTiming, Outcome};
     let daemon = spawn(opts()).unwrap();
     let addr = daemon.addr().to_string();
-    let resp = client::submit(&addr, &spec(0xE2EA)).unwrap();
-    client::fetch(&addr, resp.job, Duration::from_millis(20)).unwrap();
-    let names: Vec<String> = daemon
-        .trace_events()
-        .into_iter()
-        .filter_map(|e| match e {
-            TraceEvent::Span { name, .. } => Some(name),
-            _ => None,
-        })
-        .collect();
-    assert!(
-        names.iter().any(|n| n.ends_with("queue_wait")),
-        "queue-wait span missing: {names:?}"
+    let specs: Vec<JobSpec> = (0..3).map(|i| quick(0xE2EA_0000 + i)).collect();
+    for spec in &specs {
+        let job = client::submit(&addr, spec).unwrap().job;
+        client::fetch(&addr, job, Duration::from_millis(20)).unwrap();
+    }
+    for spec in &specs[..2] {
+        assert!(client::submit(&addr, spec).unwrap().cached);
+    }
+
+    let m = daemon.serve_metrics();
+    let records = m.flight_records();
+    assert_eq!(records.len(), 5, "{records:?}");
+    // (count, sum) of `value` over the records `keep` selects, and of a
+    // histogram.
+    let over = |keep: &dyn Fn(&JobTiming) -> bool, value: fn(&JobTiming) -> u64| {
+        let kept: Vec<u64> = records.iter().filter(|t| keep(t)).map(value).collect();
+        (kept.len() as u64, kept.iter().sum::<u64>())
+    };
+    let hist = |h: &esteem_stats::Histogram| (h.snapshot().count(), h.snapshot().sum());
+    let ran = |t: &JobTiming| t.run_us > 0;
+    assert_eq!(
+        hist(&m.queue_wait_us),
+        over(&|t| t.worker.is_some(), |t| t.queue_wait_us)
     );
-    assert!(
-        names.iter().any(|n| n == "job.cache_lookup"),
-        "cache-lookup span missing: {names:?}"
+    assert_eq!(
+        hist(&m.cache_lookup_us),
+        over(&|_| true, |t| t.cache_lookup_us)
     );
-    assert!(
-        names.iter().any(|n| n == "job.run"),
-        "run span missing: {names:?}"
-    );
+    assert_eq!(hist(&m.run_us), over(&ran, |t| t.run_us));
+    assert_eq!(hist(&m.serialize_us), over(&ran, |t| t.serialize_us));
+    assert_eq!(over(&ran, |t| t.run_us).0, 3, "three jobs ran");
+    for outcome in [Outcome::Done, Outcome::Failed, Outcome::Cached] {
+        let e2e = m.e2e_us(outcome);
+        let of = over(&|t| t.outcome == outcome, |t| t.e2e_us);
+        assert_eq!((e2e.count(), e2e.sum()), of, "{}", outcome.name());
+    }
+    assert_eq!(m.e2e_us(Outcome::Cached).count(), 2);
+
+    let (_, body) = client::request(&addr, "GET", "/v1/status", None).unwrap();
+    let v: Value = serde_json::from_str(&body).unwrap();
+    let workers = v.as_map().and_then(|m| map_get(m, "workers").ok());
+    let per = workers
+        .and_then(|w| w.as_map())
+        .and_then(|w| map_get(w, "per_worker").ok())
+        .and_then(|p| p.as_seq())
+        .expect("workers.per_worker");
+    for worker in records.iter().filter_map(|t| t.worker) {
+        let busy = f64::from_value(&per[worker]).unwrap();
+        assert!(busy > 0.0, "worker {worker} ran a job: {body}");
+    }
     daemon.shutdown();
     daemon.wait();
 }
@@ -549,7 +580,19 @@ fn status_reports_percentiles_for_injected_latencies() {
     for us in 1..=1000u64 {
         m.submit_us.record(us);
     }
-    m.record_e2e(esteem_serve::Outcome::Done, "injector", 4096);
+    m.record(esteem_serve::JobTiming {
+        job: 0,
+        client: "injector".into(),
+        workload: "gamess".into(),
+        outcome: esteem_serve::Outcome::Done,
+        fingerprint: 0,
+        worker: None,
+        queue_wait_us: 0,
+        cache_lookup_us: 0,
+        run_us: 0,
+        serialize_us: 0,
+        e2e_us: 4096,
+    });
 
     let (status, body) = client::request(&addr, "GET", "/v1/status", None).unwrap();
     assert_eq!(status, 200);
@@ -647,14 +690,6 @@ fn status_and_flight_recorder_cover_a_real_job() {
     let run_us = u64::from_value(map_get(em, "run_us").unwrap()).unwrap();
     let e2e_us = u64::from_value(map_get(em, "e2e_us").unwrap()).unwrap();
     assert!(run_us > 0 && e2e_us >= run_us, "run {run_us}, e2e {e2e_us}");
-    // Trace events ride along (non-destructively: the daemon accessor
-    // still sees them afterwards).
-    assert!(v
-        .as_map()
-        .and_then(|m| map_get(m, "trace").ok())
-        .and_then(|t| t.as_seq())
-        .is_some_and(|t| !t.is_empty()));
-    assert!(!daemon.trace_events().is_empty());
 
     daemon.shutdown();
     daemon.wait();
@@ -681,7 +716,7 @@ fn metrics_expose_histograms_build_info_and_content_type() {
             "serve/build_info{{version=\"{}\",git=",
             env!("CARGO_PKG_VERSION")
         ),
-        "pool/task_us_count",
+        "pool/utilization ",
         "pool/workers/0/utilization",
     ] {
         assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
@@ -943,11 +978,11 @@ fn priority_aging_promotes_a_starved_job_over_fresh_arrivals() {
         let g2 = client::submit(&addr, &p2(seed_base + 21)).unwrap().job;
         // A worker counts a job completed before it writes the job's
         // flight record, so wait for the records the order is read from.
-        let recorded = || daemon.flight_recorder().len() as u64;
+        let recorded = || daemon.serve_metrics().flight_len() as u64;
         wait_for(recorded, 9, "all nine flight records");
         let order: Vec<u64> = daemon
-            .flight_recorder()
-            .snapshot()
+            .serve_metrics()
+            .flight_records()
             .iter()
             .map(|t| t.job)
             .collect();
@@ -1066,11 +1101,11 @@ fn higher_priority_job_runs_right_after_the_running_job() {
     .job;
     // Flight records, not the completed counter: a worker counts a job
     // completed before it writes the job's flight record.
-    let recorded = || daemon.flight_recorder().len() as u64;
+    let recorded = || daemon.serve_metrics().flight_len() as u64;
     wait_for(recorded, 7, "all seven flight records");
     let order: Vec<u64> = daemon
-        .flight_recorder()
-        .snapshot()
+        .serve_metrics()
+        .flight_records()
         .iter()
         .map(|t| t.job)
         .collect();

@@ -7,6 +7,7 @@
 //! external tagging (`{"ReconfigDecision": {...}}`), one JSON object per
 //! line in the compact JSONL log.
 
+use esteem_stats::IntervalSample;
 use serde::{Deserialize, Serialize};
 
 /// Event classes, used by [`TraceFilter`](crate::TraceFilter) to select
@@ -128,21 +129,9 @@ pub enum TraceEvent {
     },
     /// One run-cache lookup in the experiment harness.
     RunCache { fingerprint: u64, hit: bool },
-    /// One interval observation bridged from the stats subsystem
-    /// (deltas over the interval, same semantics as the interval log).
-    Interval {
-        cycle: u64,
-        span_cycles: u64,
-        active_fraction: f64,
-        l2_hits: u64,
-        l2_misses: u64,
-        refreshes: u64,
-        invalidations: u64,
-        mem_reads: u64,
-        mem_writes: u64,
-        slot_transitions: u64,
-        instructions: u64,
-    },
+    /// One interval observation: the interval log's record (deltas over
+    /// the interval).
+    Interval(IntervalSample),
     /// One wall-clock self-profiling span.
     Span {
         name: String,
@@ -162,7 +151,7 @@ impl TraceEvent {
             TraceEvent::RefreshBatch { .. } => EventKind::Refresh,
             TraceEvent::BankWindow { .. } => EventKind::Bank,
             TraceEvent::RunCache { .. } => EventKind::RunCache,
-            TraceEvent::Interval { .. } => EventKind::Interval,
+            TraceEvent::Interval(_) => EventKind::Interval,
             TraceEvent::Span { .. } => EventKind::Span,
         }
     }
@@ -174,8 +163,8 @@ impl TraceEvent {
             TraceEvent::ReconfigDecision { cycle, .. }
             | TraceEvent::ReconfigApply { cycle, .. }
             | TraceEvent::RefreshBatch { cycle, .. }
-            | TraceEvent::BankWindow { cycle, .. }
-            | TraceEvent::Interval { cycle, .. } => Some(cycle),
+            | TraceEvent::BankWindow { cycle, .. } => Some(cycle),
+            TraceEvent::Interval(ref s) => Some(s.cycle),
             TraceEvent::RunCache { .. } | TraceEvent::Span { .. } => None,
         }
     }

@@ -123,12 +123,8 @@ fn rows_for(ev: &TraceEvent, out: &mut Vec<Row>) {
             dur: None,
             args,
         }),
-        TraceEvent::Interval {
-            cycle,
-            active_fraction,
-            ..
-        } => {
-            let ts = *cycle as f64 / CYCLES_PER_US;
+        TraceEvent::Interval(sample) => {
+            let ts = sample.cycle as f64 / CYCLES_PER_US;
             out.push(Row {
                 pid: PID_SIM,
                 tid: TID_INTERVAL,
@@ -145,7 +141,10 @@ fn rows_for(ev: &TraceEvent, out: &mut Vec<Row>) {
                 ph: 'C',
                 name: "active_fraction".into(),
                 dur: None,
-                args: Value::Map(vec![("fraction".into(), Value::F64(*active_fraction))]),
+                args: Value::Map(vec![(
+                    "fraction".into(),
+                    Value::F64(sample.active_fraction),
+                )]),
             });
         }
         TraceEvent::RunCache { hit, .. } => out.push(Row {

@@ -31,7 +31,6 @@ pub mod mixes;
 pub mod profile;
 pub mod stream;
 pub mod suites;
-pub mod trace;
 pub mod zones;
 
 pub use analysis::ReuseDistance;
@@ -39,7 +38,6 @@ pub use mixes::{dual_core_mixes, DualMix};
 pub use profile::{BenchmarkProfile, PhaseSpec, Suite};
 pub use stream::{AccessStream, Bundle, MemRef};
 pub use suites::{all_benchmarks, benchmark_by_name, hpc_benchmarks, spec2006_benchmarks};
-pub use trace::{TraceReader, TraceWriter};
 
 /// Stable 64-bit FNV-1a hash used for seeding; must never change across
 /// versions or experiment results stop being reproducible.

@@ -75,24 +75,3 @@ fn scan_apps_have_deep_reuse_mass() {
         "omnetpp deep-reuse {om_deep:.4} vs dealII {dl_deep:.4}"
     );
 }
-
-/// Trace round trip at the facade level: a recorded stream replays into
-/// the identical reuse-distance histogram.
-#[test]
-fn trace_round_trip_preserves_locality() {
-    use esteem::workloads::trace::{record_stream, TraceReader};
-    let p = benchmark_by_name("gcc").unwrap();
-    let mut s = AccessStream::new(&p, 0, 5);
-    let img = record_stream(&mut s, 30_000);
-    let mut replay = TraceReader::parse(&img).unwrap();
-
-    let mut direct = AccessStream::new(&p, 0, 5);
-    let mut rd_direct = ReuseDistance::new(1 << 12);
-    let mut rd_replay = ReuseDistance::new(1 << 12);
-    for _ in 0..30_000 {
-        rd_direct.access(direct.next_bundle().mem.block);
-        rd_replay.access(replay.next_bundle().mem.block);
-    }
-    assert_eq!(rd_direct.histogram(), rd_replay.histogram());
-    assert_eq!(rd_direct.footprint(), rd_replay.footprint());
-}
