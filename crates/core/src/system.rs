@@ -49,8 +49,9 @@ use crate::tape::{self, Feed, FrontEnd};
 ///
 /// **Front ends.** Each core's workload stream and private L1 (its front
 /// end) feed the core a tape of fixed-size chunks. [`Simulator::run`]
-/// fills them on a front-end thread of its own when a CPU is spare, and
-/// inline otherwise; the report is byte-identical either way.
+/// shares the filling with a front-end thread of its own when a CPU is
+/// spare, and fills them inline otherwise; the report is byte-identical
+/// either way.
 pub struct Simulator {
     cfg: SystemConfig,
     workload_label: String,
@@ -284,8 +285,10 @@ impl Simulator {
         self.cores[i].note_progress();
     }
 
-    /// Hands core `i` its next tape chunk: waits for the front-end
-    /// thread's, or fills it inline.
+    /// Hands core `i` its next tape chunk: a queued one, or one this
+    /// thread fills (inline, or piped while the front-end thread is busy
+    /// elsewhere), or else the one it waits for. `block.refill` books all
+    /// of it.
     fn next_chunk(&mut self, i: usize, feed: &mut Feed<'_>) {
         prof_span!(self.tracer, "block.refill");
         feed.next_chunk(i, self.cores[i].next_chunk_slot());
@@ -422,8 +425,9 @@ impl Simulator {
     /// The calling thread holds a CPU claim for the run
     /// ([`esteem_par::hold_cpu`]; a sweep or daemon worker already holds
     /// one). If one more claim fits ([`esteem_par::claim_spare_cpu`]),
-    /// the front ends run on a thread of their own; otherwise they are
-    /// filled inline. With `ESTEEM_THREADS=1` a run never starts a thread.
+    /// a thread of their own fills the front ends beside this one;
+    /// otherwise they are filled inline. With `ESTEEM_THREADS=1` a run
+    /// never starts a thread.
     pub fn run(self) -> SimReport {
         self.run_claimed().0
     }
@@ -436,13 +440,13 @@ impl Simulator {
         (self.run_fed(piped), piped)
     }
 
-    /// Runs to completion with the front ends piped through a thread of
-    /// their own, or filled inline.
+    /// Runs to completion with the front ends piped (filled by a thread
+    /// of their own and this one), or filled inline.
     pub(crate) fn run_fed(mut self, piped: bool) -> SimReport {
         prof_span!(self.tracer, "sim.run");
         let mut fronts = std::mem::take(&mut self.fronts);
         if piped {
-            tape::piped(&mut fronts, |pipe| self.simulate(&mut Feed::Piped(pipe)));
+            tape::piped(fronts, |pipe| self.simulate(&mut Feed::Piped(pipe)));
         } else {
             self.simulate(&mut Feed::Inline(&mut fronts));
         }

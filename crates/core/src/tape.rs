@@ -11,10 +11,14 @@
 //! tape runs is unobservable.
 //!
 //! A [`Feed`] says where the chunks are filled: *inline*, on the
-//! simulation thread when a core's chunk runs out, or *piped*, by one
-//! front-end thread per run ([`piped`]) that keeps at most two full
-//! chunks queued per core. Both fill the same chunks in the same order,
-//! so reports are byte-identical either way.
+//! simulation thread when a core's chunk runs out, or *piped*
+//! ([`piped`]), by both threads of a run. A front-end thread fills ahead,
+//! keeping at most two full chunks queued per core, and the simulation
+//! thread fills too whenever a core runs dry: that core's chunk in place
+//! if its front end is free, and otherwise another core's, while it waits.
+//! Each front end is filled by one side at a time, strictly in tape
+//! order, so both feeds fill the same chunks in the same order and
+//! reports are byte-identical either way.
 
 use std::any::Any;
 use std::collections::VecDeque;
@@ -100,7 +104,8 @@ impl FrontEnd {
 pub(crate) enum Feed<'a> {
     /// Filled on the simulation thread when a core runs out.
     Inline(&'a mut [FrontEnd]),
-    /// Filled ahead by the run's front-end thread.
+    /// Filled ahead by the run's front-end thread, and by the simulation
+    /// thread whenever a core runs dry ([`Pipe`]).
     Piped(&'a Pipe),
 }
 
@@ -115,14 +120,14 @@ impl Feed<'_> {
 }
 
 /// The queues between a run's front-end thread and its simulation
-/// thread: per core, the full chunks in tape order and the spent ones the
-/// producer may refill.
+/// thread: per core, the full chunks in tape order, the spent ones either
+/// side may refill, and the front end that fills them.
 pub(crate) struct Pipe {
     state: Mutex<PipeState>,
     /// Signalled on a hand-off the other side sleeps on, and on hang-up.
-    /// At most one side sleeps at a time: the producer only when every
-    /// core has [`QUEUED_PER_CORE`] chunks queued, the consumer only when
-    /// its core has none.
+    /// At most one side sleeps at a time: the producer only when no core
+    /// has both a spent chunk and a free front end, the consumer only
+    /// while the producer fills its core's front end.
     changed: Condvar,
     /// Chunks pushed so far, for the consumer to spin on. It publishes no
     /// data (the chunks travel under the mutex), so it is `Relaxed`.
@@ -132,6 +137,9 @@ pub(crate) struct Pipe {
 struct PipeState {
     full: Vec<VecDeque<Chunk>>,
     spent: Vec<Vec<Chunk>>,
+    /// Each core's front end, `None` while a side fills from it: taking it
+    /// out is the claim that keeps its chunks in tape order.
+    fronts: Vec<Option<FrontEnd>>,
     /// Which side sleeps on `changed`, if any.
     producer_sleeps: bool,
     consumer_sleeps: bool,
@@ -141,8 +149,29 @@ struct PipeState {
     panic: Option<Box<dyn Any + Send>>,
 }
 
+impl PipeState {
+    /// Claims the front end and a spent chunk of the core with the fewest
+    /// chunks queued (the lowest index on a tie), among those that have
+    /// both free.
+    fn claim(&mut self) -> Option<(usize, FrontEnd, Chunk)> {
+        let core = (0..self.fronts.len())
+            .filter(|&i| self.fronts[i].is_some() && !self.spent[i].is_empty())
+            .min_by_key(|&i| self.full[i].len())?;
+        let front = self.fronts[core].take().expect("filtered present");
+        let chunk = self.spent[core].pop().expect("filtered non-empty");
+        Some((core, front, chunk))
+    }
+
+    /// Queues a chunk filled from a claim and frees its front end.
+    fn queue(&mut self, core: usize, front: FrontEnd, chunk: Chunk) {
+        self.full[core].push_back(chunk);
+        self.fronts[core] = Some(front);
+    }
+}
+
 impl Pipe {
-    fn new(cores: usize) -> Self {
+    fn new(fronts: Vec<FrontEnd>) -> Self {
+        let cores = fronts.len();
         Self {
             state: Mutex::new(PipeState {
                 full: (0..cores)
@@ -157,6 +186,7 @@ impl Pipe {
                         v
                     })
                     .collect(),
+                fronts: fronts.into_iter().map(Some).collect(),
                 producer_sleeps: false,
                 consumer_sleeps: false,
                 hung_up: false,
@@ -185,21 +215,31 @@ impl Pipe {
         self.changed.notify_all();
     }
 
-    /// Consumer side: swaps core `core`'s spent `chunk` for the next full
-    /// one, spinning and then sleeping until the producer has queued one.
-    /// If the producer has stopped (it panicked), re-raises its panic.
+    /// Wakes the producer if it sleeps, after `st` freed a front end or a
+    /// spent chunk.
+    fn wake_producer(&self, st: MutexGuard<'_, PipeState>) {
+        let wake = st.producer_sleeps;
+        drop(st);
+        if wake {
+            self.changed.notify_all();
+        }
+    }
+
+    /// Consumer side: replaces core `core`'s spent `chunk` with its next
+    /// one. That is the core's first queued chunk if it has one; otherwise
+    /// the consumer fills `chunk` in place when the core's front end is
+    /// free. While the producer fills it, the consumer fills the next
+    /// chunk of any other core it can claim, and spins and then sleeps
+    /// only when there is none. If the producer has stopped (it
+    /// panicked), re-raises its panic.
     fn next_chunk(&self, core: usize, chunk: &mut Chunk) {
-        let spin_until = Instant::now() + SPIN;
+        let mut spin_until = None;
         let mut st = self.lock();
         loop {
             if let Some(next) = st.full[core].pop_front() {
                 let spent = std::mem::replace(chunk, next);
                 st.spent[core].push(spent);
-                let wake = st.producer_sleeps;
-                drop(st);
-                if wake {
-                    self.changed.notify_all();
-                }
+                self.wake_producer(st);
                 return;
             }
             if st.hung_up {
@@ -210,10 +250,31 @@ impl Pipe {
                 drop(st);
                 panic::resume_unwind(payload);
             }
-            if Instant::now() < spin_until {
+            // Nothing is queued, so the front end's next chunk is this
+            // core's next one.
+            if let Some(mut front) = st.fronts[core].take() {
+                drop(st);
+                front.fill(chunk);
+                let mut st = self.lock();
+                st.fronts[core] = Some(front);
+                self.wake_producer(st);
+                return;
+            }
+            if let Some((other, mut front, mut next)) = st.claim() {
+                drop(st);
+                front.fill(&mut next);
+                st = self.lock();
+                st.queue(other, front, next);
+                if st.producer_sleeps {
+                    self.changed.notify_all();
+                }
+                continue;
+            }
+            let until = *spin_until.get_or_insert_with(|| Instant::now() + SPIN);
+            if Instant::now() < until {
                 let seen = self.pushed.load(Ordering::Relaxed);
                 drop(st);
-                while self.pushed.load(Ordering::Relaxed) == seen && Instant::now() < spin_until {
+                while self.pushed.load(Ordering::Relaxed) == seen && Instant::now() < until {
                     for _ in 0..64 {
                         std::hint::spin_loop();
                     }
@@ -227,31 +288,27 @@ impl Pipe {
         }
     }
 
-    /// Producer side: fills chunks until hung up, always for the core
-    /// with the fewest queued (the lowest index on a tie).
-    fn produce(&self, fronts: &mut [FrontEnd]) {
+    /// Producer side: fills chunks until hung up, from whichever core
+    /// [`PipeState::claim`] picks.
+    fn produce(&self) {
         loop {
-            let (core, mut chunk) = {
+            let (core, mut front, mut chunk) = {
                 let mut st = self.lock();
                 loop {
                     if st.hung_up {
                         return;
                     }
-                    let next = (0..fronts.len())
-                        .filter(|&i| !st.spent[i].is_empty())
-                        .min_by_key(|&i| st.full[i].len());
-                    if let Some(i) = next {
-                        let chunk = st.spent[i].pop().expect("filtered non-empty");
-                        break (i, chunk);
+                    if let Some(claimed) = st.claim() {
+                        break claimed;
                     }
                     st.producer_sleeps = true;
                     st = self.wait(st);
                     st.producer_sleeps = false;
                 }
             };
-            fronts[core].fill(&mut chunk);
+            front.fill(&mut chunk);
             let mut st = self.lock();
-            st.full[core].push_back(chunk);
+            st.queue(core, front, chunk);
             let wake = st.consumer_sleeps;
             drop(st);
             self.pushed.fetch_add(1, Ordering::Relaxed);
@@ -273,19 +330,18 @@ impl Drop for HangUp<'_> {
 }
 
 /// Runs `consume` on the calling thread while one scoped front-end thread
-/// fills chunks from `fronts` into the [`Pipe`] it reads. The thread is
-/// joined before this returns or unwinds; a panic on it surfaces as
-/// `consume`'s panic.
-pub(crate) fn piped<R>(fronts: &mut [FrontEnd], consume: impl FnOnce(&Pipe) -> R) -> R {
-    let pipe = Pipe::new(fronts.len());
+/// helps it fill chunks from `fronts`, through the [`Pipe`] it reads. The
+/// thread is joined before this returns or unwinds; a panic on it surfaces
+/// as `consume`'s panic.
+pub(crate) fn piped<R>(fronts: Vec<FrontEnd>, consume: impl FnOnce(&Pipe) -> R) -> R {
+    let pipe = Pipe::new(fronts);
     std::thread::scope(|s| {
         let pipe = &pipe;
         std::thread::Builder::new()
             .name("esteem-front".into())
             .spawn_scoped(s, move || {
                 let _hang_up = HangUp(pipe);
-                if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(|| pipe.produce(fronts)))
-                {
+                if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(|| pipe.produce())) {
                     pipe.lock().panic = Some(payload);
                 }
             })
@@ -309,51 +365,101 @@ mod tests {
         FrontEnd::new(AccessStream::new(&p, core, 3), l1)
     }
 
-    fn tape(feed: &mut Feed<'_>, core: usize, chunks: usize) -> Vec<Chunk> {
-        let mut chunk = Chunk::default();
-        (0..chunks)
-            .map(|_| {
-                feed.next_chunk(core, &mut chunk);
-                chunk.clone()
-            })
-            .collect()
+    /// Reads chunks core by core in `order`, each core through a slot of
+    /// its own as [`crate::core_model::CoreState`] does; returns each
+    /// core's tape.
+    fn read(feed: &mut Feed<'_>, order: &[usize]) -> Vec<Vec<Chunk>> {
+        let cores = order.iter().max().map_or(0, |&c| c + 1);
+        let mut slots = vec![Chunk::default(); cores];
+        let mut tapes = vec![Vec::new(); cores];
+        for &core in order {
+            feed.next_chunk(core, &mut slots[core]);
+            tapes[core].push(slots[core].clone());
+        }
+        tapes
+    }
+
+    /// `got` must be the inline tapes of `front(0..)`, chunk for chunk.
+    fn assert_inline_tapes(got: &[Vec<Chunk>]) {
+        let mut inline: Vec<_> = (0..got.len() as u32).map(front).collect();
+        let mut feed = Feed::Inline(&mut inline);
+        for (core, tape) in got.iter().enumerate() {
+            let want = read(&mut feed, &vec![core; tape.len()]).remove(core);
+            assert_eq!(want.len(), tape.len());
+            for (i, (w, g)) in want.iter().zip(tape).enumerate() {
+                let at = format!("core {core} chunk {i}");
+                assert_eq!(w.enc, g.enc, "{at}");
+                assert_eq!(w.instrs, g.instrs, "{at}");
+                assert_eq!(w.recs, g.recs, "{at}");
+                assert_eq!(w.wbs, g.wbs, "{at}");
+            }
+        }
+        assert!(got[0][0].recs.iter().any(|r| !r.hit()), "mcf misses");
     }
 
     #[test]
     fn piped_chunks_equal_inline_chunks() {
-        let mut inline = vec![front(0), front(1)];
-        let mut feed = Feed::Inline(&mut inline);
-        let want: Vec<_> = (0..2).map(|c| tape(&mut feed, c, 7)).collect();
-        let mut fronts = vec![front(0), front(1)];
-        // Uneven consumption: core 1 reads all its chunks before core 0.
-        let got = piped(&mut fronts, |pipe| {
-            let mut feed = Feed::Piped(pipe);
-            let one = tape(&mut feed, 1, 7);
-            vec![tape(&mut feed, 0, 7), one]
+        // Uneven consumption: core 1 reads all its chunks first, then
+        // core 2 reads two chunks for each of core 0's.
+        let order: Vec<usize> = [1; 7]
+            .into_iter()
+            .chain((0..15).map(|i| if i % 3 == 0 { 0 } else { 2 }))
+            .collect();
+        let fronts = vec![front(0), front(1), front(2)];
+        let got = piped(fronts, |pipe| read(&mut Feed::Piped(pipe), &order));
+        assert_inline_tapes(&got);
+    }
+
+    #[test]
+    fn a_pipe_without_a_producer_is_filled_by_its_consumer() {
+        let pipe = Pipe::new(vec![front(0), front(1), front(2)]);
+        let got = read(&mut Feed::Piped(&pipe), &[2, 0, 0, 1, 2, 2, 0, 1]);
+        assert_inline_tapes(&got);
+    }
+
+    #[test]
+    fn a_consumer_waiting_on_its_front_end_fills_the_other_cores() {
+        let pipe = Pipe::new(vec![front(0), front(1), front(2)]);
+        // The test thread claims core 0's front end as the producer
+        // would, so the consumer's wait for core 0 fills cores 1 and 2.
+        let (core, mut fe, mut chunk) = pipe.lock().claim().expect("all free");
+        assert_eq!(core, 0);
+        let got = std::thread::scope(|s| {
+            let consumer = s.spawn(|| read(&mut Feed::Piped(&pipe), &[0, 1, 1, 1, 2, 0, 2, 2]));
+            let t0 = Instant::now();
+            while !pipe.lock().consumer_sleeps {
+                assert!(
+                    t0.elapsed() < Duration::from_secs(10),
+                    "consumer never slept"
+                );
+                std::thread::yield_now();
+            }
+            {
+                let st = pipe.lock();
+                assert_eq!([st.full[1].len(), st.full[2].len()], [2, 2]);
+            }
+            fe.fill(&mut chunk);
+            pipe.lock().queue(0, fe, chunk);
+            pipe.changed.notify_all();
+            consumer.join().expect("the consumer finishes")
         });
-        for (w, g) in want.iter().flatten().zip(got.iter().flatten()) {
-            assert_eq!(w.enc, g.enc);
-            assert_eq!(w.instrs, g.instrs);
-            assert_eq!(w.recs, g.recs);
-            assert_eq!(w.wbs, g.wbs);
-        }
-        assert!(want[0][0].recs.iter().any(|r| !r.hit()), "mcf misses");
+        assert_inline_tapes(&got);
     }
 
     #[test]
     fn producer_panic_surfaces_on_the_consumer() {
         // A front end whose L1 fails the kernel's shape check panics in
-        // its first fill, on the front-end thread.
+        // its first fill, on whichever thread claims it first: either way
+        // the run's panic is the fill's.
         let mut bad = front(0);
         bad.l1d.set_retention_tracking(true);
-        let mut fronts = vec![bad];
         let t0 = Instant::now();
         let caught = panic::catch_unwind(AssertUnwindSafe(|| {
-            piped(&mut fronts, |pipe| {
+            piped(vec![bad], |pipe| {
                 Feed::Piped(pipe).next_chunk(0, &mut Chunk::default());
             })
         }))
-        .expect_err("the producer's panic reaches the consumer");
+        .expect_err("the fill's panic reaches the consumer");
         assert!(t0.elapsed() < Duration::from_secs(10));
         let msg = esteem_par::panic_message(caught.as_ref());
         assert!(msg.contains("non-L1-shaped"), "got: {msg}");

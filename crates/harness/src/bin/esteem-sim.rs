@@ -18,7 +18,7 @@
 //!   --interval-log <file>     stream one JSONL record per interval
 //!   --trace <file>            export a trace: .json -> Chrome trace-event
 //!                             JSON (Perfetto/chrome://tracing), any other
-//!                             extension -> compact JSONL for esteem-trace
+//!                             extension -> compact JSONL for esteem-analyze
 //!   --trace-filter <kinds>    comma list of reconfig,refresh,bank,
 //!                             runcache,interval,span (default all)
 //!   --trace-buffer <N>        ring-buffer capacity in events (default 1M;

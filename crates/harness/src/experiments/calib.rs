@@ -3,11 +3,12 @@
 //! check the synthetic workload models against their real counterparts'
 //! published classes (miss rates, IPC range, footprints).
 
-use esteem_core::{Simulator, Technique};
+use esteem_core::Technique;
 use esteem_par::parallel_map_with;
 use esteem_workloads::all_benchmarks;
 use serde::{Deserialize, Serialize};
 
+use crate::runcache::run_cached;
 use crate::tablefmt::{f, Table};
 use crate::{default_algo, single_core_cfg, Scale};
 
@@ -32,16 +33,19 @@ pub fn run(scale: Scale, threads: usize) -> Vec<CalibRow> {
     parallel_map_with(threads, &benches, |b| {
         let mut algo = default_algo(1);
         algo.interval_cycles = scale.interval_cycles();
-        let base = Simulator::single(single_core_cfg(Technique::Baseline, scale, 50.0), b).run();
-        let est = Simulator::single(single_core_cfg(Technique::Esteem(algo), scale, 50.0), b).run();
-        let rpv = Simulator::single(single_core_cfg(Technique::Rpv, scale, 50.0), b).run();
+        let run = |technique| {
+            run_cached(
+                single_core_cfg(technique, scale, 50.0),
+                std::slice::from_ref(b),
+                b.name,
+            )
+        };
+        let base = run(Technique::Baseline);
+        let est = run(Technique::Esteem(algo));
+        let rpv = run(Technique::Rpv);
         let l1 = &base.per_core[0];
         let l1_total = (l1.l1_hits + l1.l1_misses).max(1);
         let l2_total = (base.l2_hits + base.l2_misses).max(1);
-        // Valid fraction at end of the baseline run ~= refresh volume of a
-        // valid-only policy relative to capacity.
-        let slots = rpv.inputs.seconds; // placeholder to silence unused warnings
-        let _ = slots;
         CalibRow {
             name: b.name.to_owned(),
             base_ipc: l1.ipc,
@@ -49,6 +53,8 @@ pub fn run(scale: Scale, threads: usize) -> Vec<CalibRow> {
             l2_mpki: base.mpki(),
             l2_miss_pct: base.l2_misses as f64 / l2_total as f64 * 100.0,
             base_rpki: base.rpki(),
+            // Valid fraction at end of the baseline run ~= refresh volume
+            // of a valid-only policy relative to capacity.
             valid_frac_pct: rpv.refreshes as f64 / base.refreshes.max(1) as f64 * 100.0,
             esteem_active_pct: est.active_ratio * 100.0,
             esteem_saving_pct: esteem_energy::model::energy_saving_percent(

@@ -1,4 +1,4 @@
-//! Offline trace analysis for the `esteem-trace` binary.
+//! Offline trace analysis for the `esteem-analyze` binary.
 //!
 //! Consumes the compact JSONL event log written by `esteem-sim --trace`
 //! (and/or an `--interval-log` file) and produces:

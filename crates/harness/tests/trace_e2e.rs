@@ -1,7 +1,7 @@
 //! End-to-end test of the tracing pipeline: `esteem-sim --trace` must
 //! produce (a) a valid Chrome trace-event JSON export with nonzero event
 //! counts and monotonic per-track timestamps, and (b) a compact JSONL
-//! log that the `esteem-trace` analyzer turns into a report with
+//! log that `esteem-analyze` turns into a report with
 //! reconfiguration, refresh and energy sections.
 
 use std::path::Path;
@@ -17,10 +17,10 @@ fn run_sim(args: &[&str]) -> std::process::Output {
 }
 
 fn run_analyzer(args: &[&str]) -> std::process::Output {
-    Command::new(env!("CARGO_BIN_EXE_esteem-trace"))
+    Command::new(env!("CARGO_BIN_EXE_esteem-analyze"))
         .args(args)
         .output()
-        .expect("esteem-trace runs")
+        .expect("esteem-analyze runs")
 }
 
 fn sim_args<'a>(trace: &'a str, log: Option<&'a str>) -> Vec<&'a str> {

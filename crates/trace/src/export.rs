@@ -1,5 +1,5 @@
 //! Trace exporters: Chrome trace-event JSON (Perfetto/`chrome://tracing`)
-//! and the compact JSONL event log the offline `esteem-trace` analyzer
+//! and the compact JSONL event log the offline `esteem-analyze` analyzer
 //! consumes.
 //!
 //! The Chrome export lays events out on two processes:

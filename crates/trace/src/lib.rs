@@ -16,7 +16,7 @@
 //!   runtime-filtered, so a disabled tracer costs one branch per site.
 //! * **Export** — Chrome trace-event JSON (loadable in Perfetto or
 //!   `chrome://tracing`) and a compact JSONL event log the offline
-//!   `esteem-trace` analyzer consumes (see [`export`]).
+//!   `esteem-analyze` analyzer consumes (see [`export`]).
 //!
 //! **Zero-cost-when-disabled contract.** A disabled tracer
 //! ([`Tracer::off`], also `Default`) holds no allocation; every emit
