@@ -3,8 +3,8 @@
 //! [`SetAssocCache::access_batch_l1`] performs a whole block of demand
 //! accesses in one call on a cache that qualifies for it
 //! ([`SetAssocCache::supports_l1_batch`]: single module, single bank, no
-//! leader sampling, no retention clock, all ways active, packed recency
-//! words) — i.e. every L1 the simulator builds. It is *state-equivalent*
+//! leader sampling, no retention clock, all ways active, at most four
+//! ways) — i.e. every L1 the simulator builds. It is *state-equivalent*
 //! to issuing the same accesses one-by-one through
 //! [`SetAssocCache::access`], with one deliberate difference: the
 //! lifetime [`crate::CacheStats`] counters are **deferred**. The caller
@@ -77,14 +77,15 @@ impl SetAssocCache {
     /// Whether this cache qualifies for the compact
     /// [`SetAssocCache::access_batch_l1`] fast path: single module, single
     /// bank, no leader sampling, no retention clock, all ways active, and
-    /// a packed recency repr — i.e. every L1 the simulator builds.
+    /// at most four ways (the coded recency repr) — i.e. every L1 the
+    /// simulator builds.
     pub fn supports_l1_batch(&self) -> bool {
         self.geom.modules == 1
             && self.geom.banks == 1
             && matches!(self.leader_rule, LeaderRule::None)
             && !self.track_retention
             && self.module_ways[0] == self.geom.ways
-            && self.geom.ways <= 16
+            && self.geom.ways <= 4
     }
 
     /// Batched [`SetAssocCache::access`] for the L1 shape
@@ -92,9 +93,12 @@ impl SetAssocCache {
     /// ([`encode_l1_access`]), byte-sized [`L1Rec`] outcomes appended to
     /// `out` (dirty-eviction block addresses go to `writebacks`, in access
     /// order), and an inner loop with the leader/ATD/retention/module
-    /// branches compiled out. State effects are identical to the scalar
-    /// path; lifetime stats are deferred (see the module docs) — apply
-    /// them per consumed access via [`SetAssocCache::apply_rec_stats`].
+    /// branches compiled out. Recency is one code per set and each
+    /// access costs two table lookups (`POS4` and `TOUCH4` on a hit,
+    /// `VICTIM4` and `TOUCH4` on a miss; see [`lru`]). State
+    /// effects are identical to the scalar path; lifetime stats are
+    /// deferred (see the module docs) — apply them per consumed access
+    /// via [`SetAssocCache::apply_rec_stats`].
     pub fn access_batch_l1(
         &mut self,
         encoded: &[u64],
@@ -105,78 +109,50 @@ impl SetAssocCache {
             self.supports_l1_batch(),
             "access_batch_l1 called on a non-L1-shaped cache"
         );
-        // Dispatch once per batch to a way-count monomorphisation so the
-        // tag-compare loop fully unrolls (W = 0 is the dynamic fallback).
-        match self.geom.ways {
-            2 => self.l1_batch_inner::<2>(encoded, out, writebacks),
-            4 => self.l1_batch_inner::<4>(encoded, out, writebacks),
-            8 => self.l1_batch_inner::<8>(encoded, out, writebacks),
-            16 => self.l1_batch_inner::<16>(encoded, out, writebacks),
-            _ => self.l1_batch_inner::<0>(encoded, out, writebacks),
-        }
-    }
-
-    fn l1_batch_inner<const W: usize>(
-        &mut self,
-        encoded: &[u64],
-        out: &mut Vec<L1Rec>,
-        writebacks: &mut Vec<u64>,
-    ) {
         let g = self.geom;
-        let a = if W == 0 { g.ways as usize } else { W };
+        let a = g.ways as usize;
+        let sets = g.sets as usize;
         let set_mask = u64::from(g.sets - 1);
         let tag_shift = g.sets.trailing_zeros();
         let full = full_mask(g.ways);
-        let tags = &mut self.tags[..];
-        let bits = &mut self.bits[..];
-        let words = self
+        // Per-set arrays cut to `sets` entries: one bounds check of `set`
+        // serves both `bits[set]` and `codes[set]`.
+        let tags = &mut self.tags[..sets * a];
+        let bits = &mut self.bits[..sets];
+        let codes = &mut self
             .order
-            .packed_words_mut()
-            .expect("supports_l1_batch implies the packed recency repr");
+            .codes_mut()
+            .expect("supports_l1_batch implies the coded recency repr")[..sets];
         let mut valid_delta = 0u64;
-        out.reserve(encoded.len());
-        for &enc in encoded {
+        out.extend(encoded.iter().map(|&enc| {
             let write = enc & 1;
             let block = enc >> 1;
             let set = (block & set_mask) as usize;
             let tag = block >> tag_shift;
             let base = set * a;
-            // One load per per-set array; `sb` and `word` live in registers
+            // One load per per-set array; `sb` and `code` live in registers
             // for the whole access and are stored back exactly once below.
             let mut sb = bits[set];
-            let mut word = words[set];
+            let code = usize::from(codes[set]);
             // Branch-free hit detection: compare the tag against every way
             // at once and mask by validity, instead of walking the valid
             // ways with a data-dependent (misprediction-prone) loop.
+            let stags = &tags[base..base + a];
             let mut eq = 0u64;
-            if W != 0 {
-                let stags: &[u64; W] = (&tags[base..base + W]).try_into().expect("W ways");
-                for (w, &t) in stags.iter().enumerate() {
-                    eq |= u64::from(t == tag) << w;
-                }
-            } else {
-                for (w, &t) in tags[base..base + a].iter().enumerate() {
+            for w in 0..4 {
+                if let Some(&t) = stags.get(w) {
                     eq |= u64::from(t == tag) << w;
                 }
             }
             let rec = match (eq & sb.valid).trailing_zeros() {
                 64.. => {
-                    // Miss: same victim policy as the scalar path — a stale
-                    // invalid way searched from the LRU end, else the LRU way
-                    // (the full mask makes that the tail nibble directly).
+                    // Miss: same victim policy as the scalar path — the
+                    // least recent invalid way if any, else the LRU way.
                     let invalid = !sb.valid & full;
-                    let mut victim = ((word >> (4 * (a as u32 - 1))) & 0xF) as u8;
-                    if invalid != 0 {
-                        for p in (0..a as u32).rev() {
-                            let w = ((word >> (4 * p)) & 0xF) as u8;
-                            if invalid & (1u64 << w) != 0 {
-                                victim = w;
-                                break;
-                            }
-                        }
-                    }
+                    let candidates = if invalid != 0 { invalid } else { full };
+                    let victim = lru::VICTIM4[code][(candidates & 0xF) as usize];
                     let vbit = 1u64 << victim;
-                    let slot = base + victim as usize;
+                    let slot = base + usize::from(victim);
                     let mut wb = false;
                     if sb.valid & vbit != 0 {
                         if sb.dirty & vbit != 0 {
@@ -193,31 +169,36 @@ impl SetAssocCache {
                     } else {
                         sb.dirty &= !vbit;
                     }
-                    word = lru::packed_touch(word, victim);
+                    codes[set] = lru::TOUCH4[code][usize::from(victim & 3)];
                     L1Rec::miss(wb)
                 }
                 way => {
-                    let way = way as u8;
+                    let way = (way & 3) as usize;
                     sb.dirty |= write << way;
-                    let (w, pos) = lru::packed_touch_with_pos(word, way);
-                    word = w;
-                    L1Rec::hit_at(pos)
+                    codes[set] = lru::TOUCH4[code][way];
+                    L1Rec::hit_at(lru::POS4[code][way])
                 }
             };
             bits[set] = sb;
-            words[set] = word;
             #[cfg(feature = "strict-invariants")]
             {
                 let b = bits[set];
                 assert_eq!(b.dirty & !b.valid, 0, "L1 set {set}: dirty invalid line");
-                let mut seen = 0u64;
-                for w in 0..g.ways {
-                    seen |= 1u64 << lru::packed_position_of(words[set], w);
+                let c = usize::from(codes[set]);
+                assert!(
+                    c < lru::CODES4,
+                    "L1 set {set}: recency code {c} out of range"
+                );
+                for w in a..4 {
+                    assert_eq!(
+                        usize::from(lru::POS4[c][w]),
+                        w,
+                        "L1 set {set}: absent way {w} left its position"
+                    );
                 }
-                assert_eq!(seen, full, "L1 set {set}: recency order not a permutation");
             }
-            out.push(rec);
-        }
+            rec
+        }));
         self.valid_lines += valid_delta;
         self.valid_per_bank[0] += valid_delta;
     }
@@ -330,12 +311,22 @@ mod tests {
 
     #[test]
     fn l1_fast_path_matches_scalar() {
-        for ways in [1u8, 2, 3, 4, 8, 13, 16] {
+        for ways in 1u8..=4 {
             let g = CacheGeometry::try_from_capacity(u64::from(ways) * 64 * 64, ways, 64, 1, 1)
                 .unwrap();
             let ops = stream(&g, 5000, 0xA5A5 + u64::from(ways));
             check_l1_equivalence(g, &ops, 997);
         }
+    }
+
+    /// The simulator's L1 shape (32 KB, 4-way) over a million accesses in
+    /// front-end-sized blocks.
+    #[test]
+    #[ignore = "slow in a debug build; CI runs it in release"]
+    fn l1_fast_path_matches_scalar_at_scale() {
+        let g = CacheGeometry::from_capacity(32 << 10, 4, 64, 1, 1);
+        let ops = stream(&g, 1_000_000, 0x5EED);
+        check_l1_equivalence(g, &ops, 4096);
     }
 
     #[test]

@@ -64,7 +64,7 @@ pub struct SetAssocCache {
     /// `last_update[set * ways + way]`: cycle of the last charge-restoring
     /// operation (fill, hit, or refresh) — the eDRAM retention clock.
     pub(crate) last_update: Vec<u64>,
-    /// Recency orders, one packed word (or byte run) per set.
+    /// Recency orders, one code, packed word or byte run per set.
     pub(crate) order: lru::OrderStore,
     /// Active way count per module (`1..=A`). Leader sets ignore this.
     pub(crate) module_ways: Vec<u8>,
@@ -270,13 +270,17 @@ impl SetAssocCache {
         // otherwise the LRU enabled way.
         self.stats.misses += 1;
         let invalid_enabled = !self.bits[set_idx].valid & mask;
-        let victim = if invalid_enabled != 0 {
-            self.order
-                .find_from_lru(set_idx, |w| invalid_enabled & (1u64 << w) != 0)
-        } else {
-            self.order.lru_victim(set_idx, mask)
-        }
-        .expect("a module must always have at least one enabled way");
+        let victim = self
+            .order
+            .lru_victim(
+                set_idx,
+                if invalid_enabled != 0 {
+                    invalid_enabled
+                } else {
+                    mask
+                },
+            )
+            .expect("a module must always have at least one enabled way");
 
         let vbit = 1u64 << victim;
         let slot = base + victim as usize;

@@ -6,13 +6,20 @@
 //! the *LRU position of a hit* and the *LRU victim among enabled ways*
 //! (scan from the tail).
 //!
-//! Storage comes in two flavours behind [`OrderStore`]: for `A <= 16` the
-//! whole recency stack of a set packs into one `u64` as a nibble array
-//! (nibble `p` = way at position `p`), so a touch is a handful of shifts
-//! and masks on a single word instead of a byte-slice rotate — this is the
-//! simulator's hottest data structure. Wider associativities (the 32-way
-//! Table 3 variant) fall back to the byte-per-position layout the free
-//! functions below operate on.
+//! Storage comes in three flavours behind [`OrderStore`], one per way
+//! range:
+//!
+//! * `A <= 4` (every L1 the simulator builds): a set's order is one of the
+//!   24 permutations of four ways, stored as a one-byte code. Position,
+//!   touch and victim are lookups in small static tables (`POS4`,
+//!   `TOUCH4`, `VICTIM4`) that `const fn`s mirroring the byte-order
+//!   functions below build at compile time (a test checks every entry
+//!   against those functions);
+//! * `A <= 16` (the L2s): the whole recency stack packs into one `u64` as
+//!   a nibble array (nibble `p` = way at position `p`), so a touch is a
+//!   handful of shifts and masks on a single word;
+//! * wider associativities (the 32-way Table 3 variant) fall back to the
+//!   byte-per-position layout the free functions below operate on.
 
 /// Returns the recency position of `way` within `order`.
 ///
@@ -56,6 +63,122 @@ pub fn init_order(order: &mut [u8]) {
     }
 }
 
+/// The 24 recency orders of four ways in lexicographic order, so code 0
+/// is the canonical order (way `w` at position `w`). A cache of `A < 4`
+/// ways keeps ways `A..4` at positions `A..4`: touches of real ways only
+/// permute the first `A` positions, and callers mask victims to real ways.
+const PERM4: [[u8; 4]; CODES4] = perm4();
+
+/// Number of recency codes of a four-way set (4!).
+pub(crate) const CODES4: usize = 24;
+
+/// `POS4[code][way]`: recency position of `way` (0 = MRU).
+pub(crate) static POS4: [[u8; 4]; CODES4] = pos4();
+
+/// `TOUCH4[code][way]`: the code after moving `way` to the MRU position.
+pub(crate) static TOUCH4: [[u8; 4]; CODES4] = touch4();
+
+/// `VICTIM4[code][mask]`: least recent way whose bit is set in the 4-bit
+/// `mask`, or [`NO_WAY`] for an empty mask.
+pub(crate) static VICTIM4: [[u8; 16]; CODES4] = victim4();
+
+/// [`VICTIM4`]'s entry for an empty mask.
+pub(crate) const NO_WAY: u8 = u8::MAX;
+
+const fn perm4() -> [[u8; 4]; CODES4] {
+    let mut t = [[0u8; 4]; CODES4];
+    let mut n = 0;
+    let mut a = 0;
+    while a < 4 {
+        let mut b = 0;
+        while b < 4 {
+            let mut c = 0;
+            while c < 4 {
+                if a != b && a != c && b != c {
+                    t[n] = [a, b, c, 6 - a - b - c];
+                    n += 1;
+                }
+                c += 1;
+            }
+            b += 1;
+        }
+        a += 1;
+    }
+    t
+}
+
+const fn code_of(order: [u8; 4]) -> u8 {
+    let mut c = 0;
+    while c < CODES4 {
+        let p = PERM4[c];
+        if p[0] == order[0] && p[1] == order[1] && p[2] == order[2] {
+            return c as u8;
+        }
+        c += 1;
+    }
+    panic!("not a permutation of four ways");
+}
+
+const fn pos4() -> [[u8; 4]; CODES4] {
+    let mut t = [[0u8; 4]; CODES4];
+    let mut c = 0;
+    while c < CODES4 {
+        let mut p = 0;
+        while p < 4 {
+            t[c][PERM4[c][p] as usize] = p as u8;
+            p += 1;
+        }
+        c += 1;
+    }
+    t
+}
+
+const fn touch4() -> [[u8; 4]; CODES4] {
+    let mut t = [[0u8; 4]; CODES4];
+    let mut c = 0;
+    while c < CODES4 {
+        let mut way = 0;
+        while way < 4 {
+            // `touch` on the byte order: rotate positions 0..=p right by one.
+            let mut order = PERM4[c];
+            let mut p = 0;
+            while order[p] as usize != way {
+                p += 1;
+            }
+            while p > 0 {
+                order[p] = order[p - 1];
+                p -= 1;
+            }
+            order[0] = way as u8;
+            t[c][way] = code_of(order);
+            way += 1;
+        }
+        c += 1;
+    }
+    t
+}
+
+const fn victim4() -> [[u8; 16]; CODES4] {
+    let mut t = [[NO_WAY; 16]; CODES4];
+    let mut c = 0;
+    while c < CODES4 {
+        let mut mask = 1;
+        while mask < 16 {
+            let mut p = 4;
+            while p > 0 {
+                p -= 1;
+                if mask & (1 << PERM4[c][p]) != 0 {
+                    t[c][mask] = PERM4[c][p];
+                    break;
+                }
+            }
+            mask += 1;
+        }
+        c += 1;
+    }
+    t
+}
+
 /// Canonical initial packed word: nibble `p` holds way `p`
 /// (`0xFEDC_BA98_7654_3210`). Nibbles at positions `>= A` keep their
 /// initial values `A..16`; they can never collide with a real way
@@ -75,46 +198,30 @@ const NIB_HIGH: u64 = 0x8888_8888_8888_8888;
 /// once), so the lowest flagged nibble is exact: below the unique zero
 /// nibble no borrow is generated, hence no false positive below it.
 #[inline]
-pub(crate) fn packed_position_of(word: u64, way: u8) -> u8 {
+fn packed_position_of(word: u64, way: u8) -> u8 {
     let x = word ^ (NIB_ONES * u64::from(way));
     let flags = x.wrapping_sub(NIB_ONES) & !x & NIB_HIGH;
     crate::strict_assert!(flags != 0, "way {way} missing from packed order {word:#x}");
     (flags.trailing_zeros() / 4) as u8
 }
 
-/// Moves `way` to the MRU nibble of a packed order word.
+/// Moves `way` to the MRU nibble of a packed order word and returns the
+/// position it held before the move (the hit path needs both and should
+/// locate the way only once).
 #[inline]
-pub(crate) fn packed_touch(word: u64, way: u8) -> u64 {
-    let p = u32::from(packed_position_of(word, way));
-    let shift = 4 * p;
+fn packed_touch_returning_pos(word: &mut u64, way: u8) -> u8 {
+    let p = packed_position_of(*word, way);
+    let shift = 4 * u32::from(p);
     // Positions 0..p slide up one nibble; positions > p stay put.
-    let below = word & ((1u64 << shift) - 1);
-    let above = word & (!0u64).checked_shl(shift + 4).unwrap_or(0);
-    above | (below << 4) | u64::from(way)
-}
-
-/// [`packed_touch`] that also returns the position `way` held before the
-/// move (the hit path needs both and should locate the way only once).
-#[inline]
-pub(crate) fn packed_touch_returning_pos(word: &mut u64, way: u8) -> u8 {
-    let (w, p) = packed_touch_with_pos(*word, way);
-    *word = w;
+    let below = *word & ((1u64 << shift) - 1);
+    let above = *word & (!0u64).checked_shl(shift + 4).unwrap_or(0);
+    *word = above | (below << 4) | u64::from(way);
     p
 }
 
-/// By-value [`packed_touch_returning_pos`]: the batch kernel keeps the
-/// order word in a register across an access and writes it back once.
-#[inline]
-pub(crate) fn packed_touch_with_pos(word: u64, way: u8) -> (u64, u8) {
-    let p = packed_position_of(word, way);
-    let shift = 4 * u32::from(p);
-    let below = word & ((1u64 << shift) - 1);
-    let above = word & (!0u64).checked_shl(shift + 4).unwrap_or(0);
-    (above | (below << 4) | u64::from(way), p)
-}
-
-/// Per-set recency storage for a whole cache: packed nibble words for
-/// `A <= 16`, byte-per-position otherwise.
+/// Per-set recency storage for a whole cache: a permutation code for
+/// `A <= 4`, packed nibble words for `A <= 16`, byte-per-position
+/// otherwise.
 #[derive(Debug, Clone)]
 pub struct OrderStore {
     ways: u8,
@@ -123,6 +230,8 @@ pub struct OrderStore {
 
 #[derive(Debug, Clone)]
 enum Repr {
+    /// `codes[set]`: index into `PERM4` of the set's order.
+    Coded(Vec<u8>),
     /// `words[set]`: nibble `p` = way at recency position `p`.
     Packed(Vec<u64>),
     /// `bytes[set * ways + p]` = way at recency position `p`.
@@ -132,7 +241,9 @@ enum Repr {
 impl OrderStore {
     pub fn new(sets: u32, ways: u8) -> Self {
         assert!((1..=64).contains(&ways), "ways must be in 1..=64");
-        let repr = if ways <= 16 {
+        let repr = if ways <= 4 {
+            Repr::Coded(vec![0; sets as usize])
+        } else if ways <= 16 {
             Repr::Packed(vec![PACKED_INIT; sets as usize])
         } else {
             let mut bytes = vec![0u8; sets as usize * ways as usize];
@@ -147,7 +258,9 @@ impl OrderStore {
     /// Recency position of `way` in `set` (0 = MRU).
     #[inline]
     pub fn position_of(&self, set: usize, way: u8) -> u8 {
+        crate::strict_assert!(way < self.ways, "way {way} out of range");
         match &self.repr {
+            Repr::Coded(codes) => POS4[usize::from(codes[set])][usize::from(way)],
             Repr::Packed(words) => packed_position_of(words[set], way),
             Repr::Wide(bytes) => position_of(self.wide_slice(bytes, set), way),
         }
@@ -156,11 +269,7 @@ impl OrderStore {
     /// Moves `way` to the MRU position of `set`.
     #[inline]
     pub fn touch(&mut self, set: usize, way: u8) {
-        let ways = self.ways as usize;
-        match &mut self.repr {
-            Repr::Packed(words) => words[set] = packed_touch(words[set], way),
-            Repr::Wide(bytes) => touch(&mut bytes[set * ways..(set + 1) * ways], way),
-        }
+        self.touch_returning_pos(set, way);
     }
 
     /// Moves `way` to the MRU position of `set` and returns the position it
@@ -169,8 +278,14 @@ impl OrderStore {
     /// position (for the stats/ATD histograms) and the promotion.
     #[inline]
     pub fn touch_returning_pos(&mut self, set: usize, way: u8) -> u8 {
+        crate::strict_assert!(way < self.ways, "way {way} out of range");
         let ways = self.ways as usize;
         match &mut self.repr {
+            Repr::Coded(codes) => {
+                let code = usize::from(codes[set]);
+                codes[set] = TOUCH4[code][usize::from(way)];
+                POS4[code][usize::from(way)]
+            }
             Repr::Packed(words) => packed_touch_returning_pos(&mut words[set], way),
             Repr::Wide(bytes) => {
                 let order = &mut bytes[set * ways..(set + 1) * ways];
@@ -182,10 +297,16 @@ impl OrderStore {
         }
     }
 
-    /// LRU way of `set` among those enabled in `mask`.
+    /// LRU way of `set` among those enabled in `mask`; `None` when the
+    /// mask enables none of the set's ways.
     #[inline]
     pub fn lru_victim(&self, set: usize, mask: u64) -> Option<u8> {
         match &self.repr {
+            Repr::Coded(codes) => {
+                let real = mask & ((1 << self.ways) - 1);
+                let w = VICTIM4[usize::from(codes[set])][real as usize];
+                (w != NO_WAY).then_some(w)
+            }
             Repr::Packed(words) => {
                 let word = words[set];
                 for p in (0..u32::from(self.ways)).rev() {
@@ -200,38 +321,14 @@ impl OrderStore {
         }
     }
 
-    /// First way of `set` satisfying `pred`, scanning from the LRU end
-    /// (used to prefer stale invalid slots over evicting a live line).
+    /// Direct mutable view of the per-set recency codes (`None` unless the
+    /// cache has at most four ways). The L1 batch kernel hoists this out
+    /// of its inner loop to skip the per-access repr dispatch.
     #[inline]
-    pub fn find_from_lru(&self, set: usize, mut pred: impl FnMut(u8) -> bool) -> Option<u8> {
-        match &self.repr {
-            Repr::Packed(words) => {
-                let word = words[set];
-                for p in (0..u32::from(self.ways)).rev() {
-                    let w = ((word >> (4 * p)) & 0xF) as u8;
-                    if pred(w) {
-                        return Some(w);
-                    }
-                }
-                None
-            }
-            Repr::Wide(bytes) => self
-                .wide_slice(bytes, set)
-                .iter()
-                .rev()
-                .copied()
-                .find(|&w| pred(w)),
-        }
-    }
-
-    /// Direct mutable view of the packed nibble words (`None` for the
-    /// byte-per-position repr). The L1 fast-path batch kernel hoists this
-    /// out of its inner loop to skip the per-access repr dispatch.
-    #[inline]
-    pub(crate) fn packed_words_mut(&mut self) -> Option<&mut [u64]> {
+    pub(crate) fn codes_mut(&mut self) -> Option<&mut [u8]> {
         match &mut self.repr {
-            Repr::Packed(words) => Some(words),
-            Repr::Wide(_) => None,
+            Repr::Coded(codes) => Some(codes),
+            Repr::Packed(_) | Repr::Wide(_) => None,
         }
     }
 
@@ -313,10 +410,10 @@ mod tests {
             }
         }
 
-        /// The packed nibble store agrees with the byte-slice reference on
-        /// every operation, for every packable associativity.
+        /// The coded and packed stores agree with the byte-slice reference
+        /// on every operation, for every associativity they hold.
         #[test]
-        fn packed_matches_wide_reference(
+        fn store_matches_byte_reference(
             ways in 1u8..=16,
             touches in proptest::collection::vec((0u8..16, 1u64..65536), 1..200),
         ) {
@@ -326,7 +423,8 @@ mod tests {
             let refer = |r: &[u8; 16]| r[..ways as usize].to_vec();
             for &(w, mask) in &touches {
                 let w = w % ways;
-                let mask = mask & ((1u64 << ways) - 1) | 1; // never empty
+                // Bits of ways the cache lacks (and empty masks) must be
+                // ignored by every repr, as by the reference.
                 let expect_pos = position_of(&refer(&reference), w);
                 prop_assert_eq!(store.touch_returning_pos(1, w), expect_pos);
                 touch(&mut reference[..ways as usize], w);
@@ -354,7 +452,7 @@ mod tests {
         assert_eq!(store.position_of(2, 31), 0);
         assert_eq!(store.position_of(2, 0), 1);
         assert_eq!(store.lru_victim(2, u64::MAX), Some(30));
-        assert_eq!(store.find_from_lru(2, |w| w < 4), Some(3));
+        assert_eq!(store.lru_victim(2, 0xF), Some(3));
         // Other sets unaffected.
         assert_eq!(store.position_of(3, 31), 31);
     }
@@ -375,11 +473,47 @@ mod tests {
     }
 
     #[test]
-    fn find_from_lru_prefers_tail() {
+    fn coded_victim_prefers_tail() {
         let mut store = OrderStore::new(1, 4);
         store.touch(0, 2); // order: 2 0 1 3
-        assert_eq!(store.find_from_lru(0, |_| true), Some(3));
-        assert_eq!(store.find_from_lru(0, |w| w == 2), Some(2));
-        assert_eq!(store.find_from_lru(0, |_| false), None);
+        assert_eq!(store.lru_victim(0, u64::MAX), Some(3));
+        assert_eq!(store.lru_victim(0, 0b0100), Some(2));
+        assert_eq!(store.lru_victim(0, 0b0011), Some(1));
+        assert_eq!(store.lru_victim(0, 0), None);
+        // A 3-way cache never names its unused fourth way.
+        let mut three = OrderStore::new(1, 3);
+        three.touch(0, 0);
+        assert_eq!(three.lru_victim(0, u64::MAX), Some(2));
+        assert_eq!(three.lru_victim(0, 0b1000), None);
+    }
+
+    /// Every entry of the four-way tables equals the byte-order reference:
+    /// all 24 codes, every way, and every mask.
+    #[test]
+    fn tables_match_byte_order_reference() {
+        let mut seen = [false; CODES4];
+        for (code, order) in PERM4.iter().enumerate() {
+            assert!(
+                !seen[usize::from(code_of(*order))],
+                "codes must be distinct"
+            );
+            seen[usize::from(code_of(*order))] = true;
+            for way in 0..4u8 {
+                assert_eq!(POS4[code][usize::from(way)], position_of(order, way));
+                let mut touched = *order;
+                touch(&mut touched, way);
+                let next = usize::from(TOUCH4[code][usize::from(way)]);
+                assert_eq!(PERM4[next], touched, "touch of way {way} from {order:?}");
+            }
+            for mask in 0..16u64 {
+                let want = lru_victim(order, mask).unwrap_or(NO_WAY);
+                assert_eq!(
+                    VICTIM4[code][mask as usize], want,
+                    "{order:?} mask {mask:#b}"
+                );
+            }
+        }
+        assert_eq!(seen, [true; CODES4]);
+        assert_eq!(PERM4[0], [0, 1, 2, 3], "code 0 is the canonical order");
     }
 }

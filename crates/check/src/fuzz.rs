@@ -50,18 +50,18 @@ const L1_CASE_PERCENT: u32 = 25;
 /// broadly to reach representation corners.
 ///
 /// `L1_CASE_PERCENT` of the cases are L1-shaped instead: one module,
-/// one bank, no leader sets, at most 16 ways, a periodic policy (its
+/// one bank, no leader sets, at most 4 ways, a periodic policy (its
 /// `advance` leaves cache state untouched and keeps retention tracking
 /// off) and no reconfigurations.
 pub fn gen_case(rng: &mut SmallRng) -> Case {
     let l1 = rng.gen_range(0u32..100) < L1_CASE_PERCENT;
     let sets: u32 = 1 << rng.gen_range(3u32..=7);
-    // The first 11 entries fit the L1 kernel's packed recency words.
+    // The first 5 entries fit the L1 kernel's coded recency orders.
     let ways_choices = [1, 2, 3, 4, 4, 5, 7, 8, 8, 12, 16, 17, 20];
     let ways: u8 = *pick(
         rng,
         if l1 {
-            &ways_choices[..11]
+            &ways_choices[..5]
         } else {
             &ways_choices
         },
@@ -210,7 +210,7 @@ mod tests {
             let shaped = c.modules == 1
                 && c.banks == 1
                 && c.leader_stride.is_none()
-                && c.ways <= 16
+                && c.ways <= 4
                 && !c.policy.is_polyphase()
                 && !case.ops.iter().any(|op| matches!(op, Op::Reconfig { .. }));
             if shaped {

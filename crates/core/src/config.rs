@@ -286,6 +286,11 @@ impl SystemConfig {
         .map_err(|e| format!("L2: {e}"))?;
         CacheGeometry::try_from_capacity(self.l1_capacity, self.l1_ways, 64, 1, 1)
             .map_err(|e| format!("L1: {e}"))?;
+        // The L1 batch kernel keeps a set's recency order as a code over
+        // four ways (`SetAssocCache::supports_l1_batch`).
+        if self.l1_ways > 4 {
+            return Err(format!("L1: at most 4 ways (got {})", self.l1_ways));
+        }
         if let Some(p) = self.technique.algo_params() {
             p.check(self.l2_ways)?;
             if u32::from(p.modules) > g.sets {
@@ -343,6 +348,15 @@ mod tests {
     fn retention_cycles() {
         let c = SystemConfig::paper_single_core(Technique::Baseline);
         assert_eq!(c.retention.period_cycles, 100_000);
+    }
+
+    #[test]
+    fn wide_l1_rejected() {
+        let mut c = SystemConfig::paper_single_core(Technique::Baseline);
+        c.l1_ways = 8;
+        assert_eq!(c.check(), Err("L1: at most 4 ways (got 8)".into()));
+        c.l1_ways = 2;
+        assert_eq!(c.check(), Ok(()));
     }
 
     #[test]

@@ -49,9 +49,11 @@ impl PhaseSpec {
     /// Validates structural invariants; panics with a message on violation.
     pub fn validate(&self) {
         assert!(self.duration_instrs > 0, "phase must have instructions");
+        // The lower bound keeps a bundle's instruction count below 2^31
+        // (the batched generator counts the gap credit in fixed point).
         assert!(
-            self.mem_ratio > 0.0 && self.mem_ratio <= 1.0,
-            "mem_ratio in (0,1]"
+            self.mem_ratio >= 1.0 / f64::from(1u32 << 30) && self.mem_ratio <= 1.0,
+            "mem_ratio in [2^-30, 1]"
         );
         assert!(
             (0.0..=1.0).contains(&self.write_ratio),
@@ -145,6 +147,14 @@ mod tests {
     fn rejects_zero_mem_ratio() {
         let mut p = base_phase();
         p.mem_ratio = 0.0;
+        p.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "mem_ratio")]
+    fn rejects_bundles_of_2_pow_31_instructions() {
+        let mut p = base_phase();
+        p.mem_ratio = 1.0 / f64::from(1u32 << 31);
         p.validate();
     }
 

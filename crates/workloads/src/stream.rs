@@ -73,6 +73,10 @@ struct PhaseFast {
     zones_t: Vec<(u64, u64, u64)>,
     /// `1.0 / mem_ratio` (hoists the division; bit-identical).
     inv_mem_ratio: f64,
+    /// `inv_mem_ratio` in fixed point: it equals
+    /// `credit_step / 2^credit_shift` exactly (see `CreditSum`).
+    credit_step: u64,
+    credit_shift: u32,
     duration_instrs: u64,
     /// `stream_blocks.max(1)` / `scan_blocks.max(1)`.
     stream_region: u64,
@@ -89,8 +93,89 @@ fn le_threshold(cum: f64) -> u64 {
     (cum * (1u64 << 53) as f64).floor() as u64 + 1
 }
 
+/// The reference's gap credit after a bundle's add (`gap_credit +
+/// inv_mem_ratio`, an f64), held in fixed point: `sum / 2^shift`, with
+/// `shift = 52 - e` for the phase's `inv_mem_ratio` in `[2^e, 2^(e+1))`.
+///
+/// The conversion is exact because the credit before an add lies in
+/// `[0, 1)` and the sum in `[2^e, 2^(e+1) + 1)`: any f64 in that range is
+/// a multiple of `2^(e-52)`. A bundle carries the sum's integer part
+/// (`sum >> shift`, at least `2^e >= 1`, so the reference's `floor` and
+/// `max(1)` agree with it) and leaves the fraction (`sum & mask`, exact
+/// in f64 as well) as the next credit. Adding the step to a fraction is
+/// then integer arithmetic with the f64 rounding done by hand: below
+/// `2^53` units the sum has at most 53 significant bits and is exact; at
+/// or above it (a sum of `2^(e+1)` or more) it has one bit too many, and
+/// an odd sum is a tie that f64 rounds to the neighbour with an even
+/// half. Unlike the f64 form, whose add, float-to-int and int-to-float
+/// conversions and subtract form a loop-carried chain of about 25
+/// cycles, this chain is a few integer operations.
+#[derive(Debug, Clone, Copy)]
+struct CreditSum {
+    sum: u64,
+    shift: u32,
+}
+
+impl CreditSum {
+    /// The sum for a bundle of phase `pf` that follows a credit of
+    /// `gap_credit` (an f64 in `[0, 1)`, as both generation paths leave it).
+    /// The add is the reference's f64 add, so a credit left in a finer
+    /// unit by another phase rounds exactly as the reference rounds it.
+    #[inline]
+    fn start(gap_credit: f64, pf: &PhaseFast) -> Self {
+        let sum = gap_credit + pf.inv_mem_ratio;
+        Self {
+            sum: (sum * (1u64 << pf.credit_shift) as f64) as u64,
+            shift: pf.credit_shift,
+        }
+    }
+
+    /// The bundle's instruction count.
+    #[inline]
+    fn instrs(self) -> u32 {
+        (self.sum >> self.shift) as u32
+    }
+
+    /// The credit the bundle leaves, in units of `2^-shift`.
+    #[inline]
+    fn fraction(self) -> u64 {
+        self.sum & ((1 << self.shift) - 1)
+    }
+
+    /// The sum for the next bundle: `fraction + step`, rounded as f64
+    /// addition rounds it.
+    #[inline]
+    fn next(self, step: u64) -> Self {
+        let s = self.fraction() + step;
+        // 1 iff the sum needs 54 bits and is odd: a tie.
+        let tie = s & (s >> 53);
+        Self {
+            sum: (s + tie) & !(tie << 1),
+            shift: self.shift,
+        }
+    }
+
+    /// A fraction as the reference's f64 credit (exact: it is below
+    /// `2^shift <= 2^52`).
+    #[inline]
+    fn credit(fraction: u64, shift: u32) -> f64 {
+        fraction as f64 / (1u64 << shift) as f64
+    }
+}
+
 impl PhaseFast {
     fn build(phase: &crate::profile::PhaseSpec, mixture: &ZoneMixture) -> Self {
+        let inv_mem_ratio = 1.0 / phase.mem_ratio;
+        // `inv_mem_ratio` lies in `[2^e, 2^(e+1))` with `0 <= e <= 30`
+        // (`PhaseSpec::validate` bounds `mem_ratio`); its 53-bit
+        // significand counts units of `2^(e-52)`.
+        let bits = inv_mem_ratio.to_bits();
+        let e = (bits >> 52) as i32 - 1023;
+        assert!(
+            (0..=30).contains(&e),
+            "mem_ratio {} out of range",
+            phase.mem_ratio
+        );
         Self {
             stream_t: lt_threshold(phase.stream_frac),
             source_t: lt_threshold(phase.stream_frac + phase.scan_frac),
@@ -100,7 +185,9 @@ impl PhaseFast {
                 .iter()
                 .map(|&(cum, off, size)| (le_threshold(cum), off, size))
                 .collect(),
-            inv_mem_ratio: 1.0 / phase.mem_ratio,
+            inv_mem_ratio,
+            credit_step: (bits & ((1 << 52) - 1)) | (1 << 52),
+            credit_shift: (52 - e) as u32,
             duration_instrs: phase.duration_instrs,
             stream_region: phase.stream_blocks.max(1),
             scan_region: phase.scan_blocks.max(1),
@@ -123,6 +210,17 @@ pub struct AccessStream {
     instrs_in_phase: u64,
     /// Fractional-instruction accumulator realising `mem_ratio` exactly.
     gap_credit: f64,
+    walks: Walks,
+    total_instrs: u64,
+    total_refs: u64,
+}
+
+/// Positions of the stream and scan walks. Both generation paths step
+/// them through [`Walks::stream`] and [`Walks::scan`]; the batched path
+/// leaves them in memory, so the registers of its per-bundle loop hold
+/// only what every bundle needs.
+#[derive(Debug, Clone)]
+struct Walks {
     stream_ptr: u64,
     stream_dwell: u32,
     scan_ptr: u64,
@@ -130,8 +228,57 @@ pub struct AccessStream {
     scan_lap: u64,
     /// Current lap's wrap point (varies per lap, see `SCAN_LAP_VARIATION`).
     scan_limit: u64,
-    total_instrs: u64,
-    total_refs: u64,
+}
+
+impl Walks {
+    /// Block offset of the next streaming reference in a region of
+    /// `region` blocks.
+    #[inline]
+    fn stream(&mut self, region: u64) -> u64 {
+        let b = self.stream_ptr;
+        self.stream_dwell += 1;
+        if self.stream_dwell >= STREAM_DWELL {
+            self.stream_dwell = 0;
+            // Wrapping is rare (once per stream lap), so gate the modulo
+            // behind a compare. The remainder (not plain zero) matters when
+            // a phase switch shrinks the region.
+            self.stream_ptr += 1;
+            if self.stream_ptr >= region {
+                self.stream_ptr %= region;
+            }
+        }
+        b
+    }
+
+    /// Block offset of the next scan reference in a region of `region`
+    /// blocks; `bench_name` seeds the lap lengths.
+    #[inline]
+    fn scan(&mut self, bench_name: &str, region: u64) -> u64 {
+        if self.scan_limit > region {
+            self.redraw_scan_limit(bench_name, region);
+        }
+        let b = self.scan_ptr;
+        self.scan_dwell += 1;
+        if self.scan_dwell >= SCAN_DWELL {
+            self.scan_dwell = 0;
+            self.scan_ptr += 1;
+            if self.scan_ptr >= self.scan_limit {
+                self.scan_ptr = 0;
+                self.scan_lap += 1;
+                self.redraw_scan_limit(bench_name, region);
+            }
+        }
+        b
+    }
+
+    /// Draws the current lap's wrap point: once per lap, and when a phase
+    /// switch shrinks the region below it. Out of line, so that the hash
+    /// it calls does not cost the per-bundle loop its registers.
+    #[cold]
+    #[inline(never)]
+    fn redraw_scan_limit(&mut self, bench_name: &str, region: u64) {
+        self.scan_limit = scan_limit_for(bench_name, self.scan_lap, region);
+    }
 }
 
 impl AccessStream {
@@ -158,13 +305,14 @@ impl AccessStream {
             phase_idx: 0,
             instrs_in_phase: 0,
             gap_credit: 0.0,
-            stream_ptr: 0,
-            stream_dwell: 0,
-            scan_ptr: 0,
-            scan_dwell: 0,
-            scan_lap: 0,
-            scan_limit: u64::MAX, // set on first scan reference
-
+            walks: Walks {
+                stream_ptr: 0,
+                stream_dwell: 0,
+                scan_ptr: 0,
+                scan_dwell: 0,
+                scan_lap: 0,
+                scan_limit: u64::MAX, // set on first scan reference
+            },
             total_instrs: 0,
             total_refs: 0,
         }
@@ -187,12 +335,6 @@ impl AccessStream {
         self.phase_idx
     }
 
-    /// Wrap point for the current scan lap: between 2/3 and all of the
-    /// region, drawn deterministically from the lap number.
-    fn next_scan_limit(&self, region: u64) -> u64 {
-        scan_limit_for(self.profile.name, self.scan_lap, region)
-    }
-
     /// Generates the next bundle.
     ///
     /// This is the *reference* implementation (per-call, f64 compares);
@@ -209,37 +351,12 @@ impl AccessStream {
         // Reference source: stream | scan | zones.
         let r: f64 = self.rng.gen();
         let block = if r < phase.stream_frac {
-            let b = self.core_base | (REGION_STREAM << REGION_SHIFT) | self.stream_ptr;
-            self.stream_dwell += 1;
-            if self.stream_dwell >= STREAM_DWELL {
-                self.stream_dwell = 0;
-                // Wrapping is rare (once per stream lap), so gate the
-                // modulo behind a compare. The remainder (not plain zero)
-                // matters when a phase switch shrinks the region.
-                self.stream_ptr += 1;
-                let region = phase.stream_blocks.max(1);
-                if self.stream_ptr >= region {
-                    self.stream_ptr %= region;
-                }
-            }
-            b
+            let region = phase.stream_blocks.max(1);
+            self.core_base | (REGION_STREAM << REGION_SHIFT) | self.walks.stream(region)
         } else if r < phase.stream_frac + phase.scan_frac {
             let region = phase.scan_blocks.max(1);
-            if self.scan_limit > region {
-                self.scan_limit = self.next_scan_limit(region);
-            }
-            let b = self.core_base | (REGION_SCAN << REGION_SHIFT) | self.scan_ptr;
-            self.scan_dwell += 1;
-            if self.scan_dwell >= SCAN_DWELL {
-                self.scan_dwell = 0;
-                self.scan_ptr += 1;
-                if self.scan_ptr >= self.scan_limit {
-                    self.scan_ptr = 0;
-                    self.scan_lap += 1;
-                    self.scan_limit = self.next_scan_limit(region);
-                }
-            }
-            b
+            let offset = self.walks.scan(self.profile.name, region);
+            self.core_base | (REGION_SCAN << REGION_SHIFT) | offset
         } else {
             let idx = self.mixtures[self.phase_idx].sample(&mut self.rng);
             self.core_base | (REGION_REUSE << REGION_SHIFT) | idx
@@ -261,7 +378,7 @@ impl AccessStream {
         }
     }
 
-    /// Batch-generates bundles until `enc` holds `upto` entries, pushing
+    /// Batch-generates bundles until `enc` holds `upto` entries, appending
     /// the packed `(block << 1) | write` encoding (the layout
     /// `esteem_cache::encode_l1_access` produces — block addresses are
     /// far below 2^63) and the per-bundle instruction counts.
@@ -269,76 +386,65 @@ impl AccessStream {
     /// Emits the exact same bundle sequence as repeated
     /// [`Self::next_bundle`] calls: same RNG draw order, with every f64
     /// comparison replaced by its precomputed exact integer threshold
-    /// (see `PhaseFast`) and all generator state held in locals across
-    /// the loop. This is the simulator front end's hot path.
-    ///
-    /// A bundle's instruction count truncates the gap credit where the
-    /// reference floors it: `(x as u32).max(1)` equals
-    /// `(x.floor() as u32).max(1)` for every f64. At or above 1 floor and
-    /// truncation agree; below 1 both come out at most 0, saturate to 0
-    /// and become 1; NaN casts to 0 and huge values saturate alike. The
-    /// cast is a few inline instructions, while `floor` on a target
-    /// without SSE4.1 is a libm call on the loop-carried credit chain.
+    /// (see `PhaseFast`) and the f64 gap credit counted in fixed point
+    /// (see `CreditSum`). This is the simulator front end's hot path: it
+    /// sizes both outputs once and fills them one phase segment at a time
+    /// (`fill_segment`).
     pub fn fill_encoded(&mut self, enc: &mut Vec<u64>, instrs_out: &mut Vec<u32>, upto: usize) {
-        if enc.len() >= upto {
+        let start = enc.len();
+        if start >= upto {
             return;
         }
-        enc.reserve(upto - enc.len());
-        instrs_out.reserve(upto - enc.len());
-        let mut rng = self.rng.clone();
-        let mut gap_credit = self.gap_credit;
-        let mut stream_ptr = self.stream_ptr;
-        let mut stream_dwell = self.stream_dwell;
-        let mut scan_ptr = self.scan_ptr;
-        let mut scan_dwell = self.scan_dwell;
-        let mut scan_lap = self.scan_lap;
-        let mut scan_limit = self.scan_limit;
-        let mut instrs_in_phase = self.instrs_in_phase;
-        let mut total_instrs = self.total_instrs;
-        let mut total_refs = self.total_refs;
-        let core_base = self.core_base;
-        let nphases = self.profile.phases.len();
-        'phase: while enc.len() < upto {
-            let pf = &self.fast[self.phase_idx];
-            loop {
-                if enc.len() >= upto {
-                    break 'phase;
-                }
-                gap_credit += pf.inv_mem_ratio;
-                let instrs = (gap_credit as u32).max(1);
-                gap_credit -= f64::from(instrs);
+        let n = upto - start;
+        let instrs_start = instrs_out.len();
+        enc.resize(upto, 0);
+        instrs_out.resize(instrs_start + n, 0);
+        let (mut enc, mut instrs) = (&mut enc[start..], &mut instrs_out[instrs_start..]);
+        while !enc.is_empty() {
+            let k = self.fill_segment(enc, instrs);
+            enc = &mut enc[k..];
+            instrs = &mut instrs[k..];
+        }
+    }
 
-                let k = rng.next_u64() >> 11;
-                let block = if k < pf.stream_t {
-                    let b = core_base | (REGION_STREAM << REGION_SHIFT) | stream_ptr;
-                    stream_dwell += 1;
-                    if stream_dwell >= STREAM_DWELL {
-                        stream_dwell = 0;
-                        stream_ptr += 1;
-                        if stream_ptr >= pf.stream_region {
-                            stream_ptr %= pf.stream_region;
-                        }
-                    }
-                    b
-                } else if k < pf.source_t {
-                    let region = pf.scan_region;
-                    if scan_limit > region {
-                        scan_limit = scan_limit_for(self.profile.name, scan_lap, region);
-                    }
-                    let b = core_base | (REGION_SCAN << REGION_SHIFT) | scan_ptr;
-                    scan_dwell += 1;
-                    if scan_dwell >= SCAN_DWELL {
-                        scan_dwell = 0;
-                        scan_ptr += 1;
-                        if scan_ptr >= scan_limit {
-                            scan_ptr = 0;
-                            scan_lap += 1;
-                            scan_limit = scan_limit_for(self.profile.name, scan_lap, region);
-                        }
-                    }
-                    b
+    /// Fills `enc` and `instrs` (of equal length) from the front with
+    /// bundles of the current phase, up to the end of both or of the phase.
+    /// Returns the bundles written.
+    ///
+    /// The per-bundle loop carries the RNG, the gap credit (in fixed
+    /// point), the phase countdown and the output position; the walks
+    /// stay in `self.walks` and the totals are summed once per segment.
+    fn fill_segment(&mut self, enc: &mut [u64], instrs: &mut [u32]) -> usize {
+        let nphases = self.profile.phases.len();
+        let name = self.profile.name;
+        let pf = &self.fast[self.phase_idx];
+        let walks = &mut self.walks;
+        let core_base = self.core_base;
+        let mut rng = self.rng.clone();
+        let mut credit = CreditSum::start(self.gap_credit, pf);
+        let mut fraction = 0;
+        // Instructions left in the phase: the reference's
+        // `instrs_in_phase >= duration` is `instrs >= left` here.
+        let mut left = pf.duration_instrs - self.instrs_in_phase;
+        let mut written = enc.len();
+        let mut phase_done = false;
+        for (i, (e, ins)) in enc.iter_mut().zip(instrs.iter_mut()).enumerate() {
+            let bundle_instrs = credit.instrs();
+            fraction = credit.fraction();
+            credit = credit.next(pf.credit_step);
+
+            let k = rng.next_u64() >> 11;
+            let block = if k < pf.stream_t {
+                core_base | (REGION_STREAM << REGION_SHIFT) | walks.stream(pf.stream_region)
+            } else if k < pf.source_t {
+                core_base | (REGION_SCAN << REGION_SHIFT) | walks.scan(name, pf.scan_region)
+            } else {
+                let k2 = rng.next_u64() >> 11;
+                // Most reuse draws land in the hot zone: one compare.
+                let (hot_t, hot_offset, hot_size) = pf.zones_t[0];
+                let (offset, size) = if k2 < hot_t {
+                    (hot_offset, hot_size)
                 } else {
-                    let k2 = rng.next_u64() >> 11;
                     // First zone with `k2 < threshold`, computed branchlessly
                     // (thresholds are cumulative, hence monotonic): counting
                     // the thresholds at or below `k2` gives the same index
@@ -349,38 +455,38 @@ impl AccessStream {
                     }
                     let pick = pick.min(pf.zones_t.len() - 1);
                     let (_, offset, size) = pf.zones_t[pick];
-                    core_base | (REGION_REUSE << REGION_SHIFT) | (offset + rng.gen_range(0..size))
+                    (offset, size)
                 };
-                let write = (rng.next_u64() >> 11) < pf.write_t;
-                enc.push((block << 1) | u64::from(write));
-                instrs_out.push(instrs);
+                core_base | (REGION_REUSE << REGION_SHIFT) | (offset + rng.gen_range(0..size))
+            };
+            let write = (rng.next_u64() >> 11) < pf.write_t;
+            *e = (block << 1) | u64::from(write);
+            *ins = bundle_instrs;
 
-                total_instrs += u64::from(instrs);
-                total_refs += 1;
-                instrs_in_phase += u64::from(instrs);
-                if instrs_in_phase >= pf.duration_instrs {
-                    instrs_in_phase = 0;
-                    // Single-phase profiles (duration 0) take this branch on
-                    // every bundle; the advance is the identity for them, so
-                    // skip the division and the outer-loop re-borrow.
-                    if nphases > 1 {
-                        self.phase_idx = (self.phase_idx + 1) % nphases;
-                        continue 'phase;
-                    }
+            if u64::from(bundle_instrs) >= left {
+                left = pf.duration_instrs;
+                // A single-phase profile's advance is the identity: it
+                // stays in this segment.
+                if nphases > 1 {
+                    written = i + 1;
+                    phase_done = true;
+                    break;
                 }
+            } else {
+                left -= u64::from(bundle_instrs);
             }
         }
         self.rng = rng;
-        self.gap_credit = gap_credit;
-        self.stream_ptr = stream_ptr;
-        self.stream_dwell = stream_dwell;
-        self.scan_ptr = scan_ptr;
-        self.scan_dwell = scan_dwell;
-        self.scan_lap = scan_lap;
-        self.scan_limit = scan_limit;
-        self.instrs_in_phase = instrs_in_phase;
-        self.total_instrs = total_instrs;
-        self.total_refs = total_refs;
+        self.gap_credit = CreditSum::credit(fraction, pf.credit_shift);
+        self.total_refs += written as u64;
+        self.total_instrs += instrs[..written].iter().map(|&x| u64::from(x)).sum::<u64>();
+        if phase_done {
+            self.instrs_in_phase = 0;
+            self.phase_idx = (self.phase_idx + 1) % nphases;
+        } else {
+            self.instrs_in_phase = pf.duration_instrs - left;
+        }
+        written
     }
 }
 
@@ -415,8 +521,8 @@ mod tests {
     /// integers (`mem_ratio` 1.0, first so that it starts from zero), one
     /// that rounds to just below an integer (`mem_ratio` 0.55: about one
     /// bundle in eleven) and ~77 instructions a bundle (`mem_ratio`
-    /// 0.013). These pin the truncation `fill_encoded` uses in place of
-    /// the reference's `floor`.
+    /// 0.013). These pin the fixed-point credit `fill_encoded` keeps in
+    /// place of the reference's f64 one.
     #[test]
     fn fast_path_matches_reference() {
         let mut every = base_phase();
@@ -478,6 +584,93 @@ mod tests {
                 let packed = (want.mem.block << 1) | u64::from(want.mem.write);
                 assert_eq!(enc[i], packed, "{}: diverged at bundle {i}", p.name);
                 assert_eq!(instrs[i], want.instrs, "{}: instrs at {i}", p.name);
+            }
+        }
+    }
+
+    /// Every multi-phase suite profile (gcc, h264ref, omnetpp, xalancbmk,
+    /// ...), filled in ragged steps through a whole cycle of its phases
+    /// and into the next, matches `next_bundle` bundle for bundle. Scan
+    /// profiles also run at least two scan laps. About 60M bundles.
+    #[test]
+    #[ignore = "about a minute in a debug build; CI runs it in release"]
+    fn fill_matches_reference_across_suite_phases() {
+        let steps = [1usize, 4095, 4096, 3, 8191, 977, 12_288, 65_536];
+        let mut checked = 0;
+        for p in crate::all_benchmarks() {
+            let nphases = p.phases.len();
+            if nphases < 2 {
+                continue;
+            }
+            let scans = p.phases.iter().any(|ph| ph.scan_frac > 0.0);
+            let mut reference = AccessStream::new(&p, 1, 3);
+            let mut fast = AccessStream::new(&p, 1, 3);
+            let (mut enc, mut instrs) = (Vec::new(), Vec::new());
+            let mut switches = 0;
+            let mut step = 0;
+            while switches <= nphases || (scans && fast.walks.scan_lap < 2) {
+                // Keep a prefix in place now and then: the fill appends.
+                let keep = if step % 3 == 0 { 0 } else { enc.len().min(5) };
+                enc.truncate(keep);
+                instrs.truncate(keep);
+                let upto = keep + steps[step % steps.len()];
+                step += 1;
+                fast.fill_encoded(&mut enc, &mut instrs, upto);
+                assert_eq!((enc.len(), instrs.len()), (upto, upto));
+                for i in keep..upto {
+                    let phase = reference.phase();
+                    let want = reference.next_bundle();
+                    let packed = (want.mem.block << 1) | u64::from(want.mem.write);
+                    assert_eq!(enc[i], packed, "{}: diverged at step {step}", p.name);
+                    assert_eq!(instrs[i], want.instrs, "{}: instrs at step {step}", p.name);
+                    switches += usize::from(reference.phase() != phase);
+                }
+                assert_eq!(fast.phase(), reference.phase(), "{}", p.name);
+                assert_eq!(fast.instrs_in_phase, reference.instrs_in_phase);
+                assert_eq!(fast.total_instructions(), reference.total_instructions());
+                assert_eq!(fast.total_references(), reference.total_references());
+                assert!(step < 10_000, "{}: phases or laps never came round", p.name);
+            }
+            checked += 1;
+        }
+        assert!(checked >= 4, "only {checked} multi-phase profiles");
+    }
+
+    /// The fixed-point credit steps exactly as the reference's f64 credit,
+    /// for `mem_ratio`s at the bounds, just either side of powers of two
+    /// (where sums cross a binade and round) and drawn at random, each
+    /// phase starting from the credit the previous one left in another
+    /// unit.
+    #[test]
+    fn fixed_point_credit_matches_f64() {
+        let mut ratios = vec![1.0, 0.5, 0.55, 0.71, 0.013, 1.0 / 3.0, 2f64.powi(-30)];
+        for j in 0..30 {
+            let p = 2f64.powi(-j);
+            ratios.extend([p * (1.0 - 1e-12), p * 0.999, p * 0.75, p * 0.5000001]);
+        }
+        let mut rng = SmallRng::seed_from_u64(0xC0FFEE);
+        for _ in 0..200 {
+            let r: f64 = rng.gen();
+            ratios.push(2f64.powf(-8.0 * r));
+        }
+        let mut gap_credit = 0.0f64;
+        for &m in &ratios {
+            let mut ph = base_phase();
+            ph.mem_ratio = m;
+            let pf = PhaseFast::build(&ph, &ZoneMixture::build(&ph, "credit"));
+            let mut credit = CreditSum::start(gap_credit, &pf);
+            for step in 0..3000 {
+                gap_credit += pf.inv_mem_ratio;
+                let want = (gap_credit.floor() as u32).max(1);
+                gap_credit -= f64::from(want);
+                assert_eq!(credit.instrs(), want, "mem_ratio {m}, step {step}");
+                let got = CreditSum::credit(credit.fraction(), pf.credit_shift);
+                assert_eq!(
+                    got.to_bits(),
+                    gap_credit.to_bits(),
+                    "mem_ratio {m}, step {step}"
+                );
+                credit = credit.next(pf.credit_step);
             }
         }
     }
